@@ -35,9 +35,9 @@
 // (approximately) maximum degree together with its neighbourhood — via a
 // (1+eps) guess ladder (Lemma 3.3, Corollaries 3.4 and 5.5).
 //
-// Engine, TurnstileEngine, StarEngine and WindowEngine are four thin
-// façades over one generic sharded runtime (runtime.go): the item
-// universe is partitioned
+// Engine, TurnstileEngine, StarEngine and WindowEngine share one base
+// type over one generic sharded runtime (engine.go, runtime.go): the
+// item universe is partitioned
 // across P independent per-shard algorithm instances, each fed batches
 // (ProcessEdges / ProcessUpdates / ProcessHalfEdges) by its own
 // goroutine, so ingest scales with cores while each shard retains the

@@ -24,17 +24,18 @@
 // semantics: they quiesce the shards and reflect every element fed before
 // the call.
 //
-// All of that machinery lives once, in the generic runtime (runtime.go);
-// this file defines the two flat-engine façades — Engine for
-// insertion-only streams, TurnstileEngine for insertion-deletion streams —
-// each contributing its boundary validation and per-shard core algorithm.
-// StarEngine, the third façade, lives in starengine.go.
+// All of that machinery lives once, in the generic runtime (runtime.go).
+// The layer above it — engineBase, the flat queries, and the constructor
+// driven by each kind's engineKind — lives once in this file, next to the
+// two flat-engine façades: Engine for insertion-only streams,
+// TurnstileEngine for insertion-deletion streams.
 
 package feww
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 
 	"feww/internal/core"
@@ -84,6 +85,285 @@ func resolveShardParams(name string, n int64, shards, batchSize, queueDepth *int
 	return nil
 }
 
+// engineDims are the configuration fields the shared layer reads: N, the
+// master seed, and the runtime parameters.
+type engineDims struct {
+	n                             int64
+	seed                          uint64
+	shards, batchSize, queueDepth int
+}
+
+// engineConfig is the constraint the four engine configurations satisfy.
+type engineConfig interface{ dims() engineDims }
+
+// engineFacade is the constraint the four façades satisfy via engineBase.
+type engineFacade[C engineConfig, E any] interface{ base() *engineBase[C, E] }
+
+// engineKind describes one engine kind (configuration C, element E,
+// façade T) to build and to the FEWWENG1 codec (snapshot.go).
+type engineKind[C engineConfig, E any, T engineFacade[C, E]] struct {
+	name string // façade type name, for errors
+	kind byte   // FEWWENG1 kind byte
+	// header returns pointers to the configuration fields the container
+	// header carries, in wire order.  Each is an *int64, *int, *uint64 or
+	// *float64 and travels as one little-endian uint64.
+	header  func(cfg *C) []any
+	item    func(E) int64   // routing key: the element's global item id
+	setItem func(*E, int64) // rewrites it: batches are remapped to local ids
+	// assemble allocates the façade, with any per-kind state its shards
+	// need, for a stream at count elements; it rejects kind-specific
+	// fields a restored header got wrong.
+	assemble func(cfg C, count int64) (T, error)
+	// open builds shard i of p: fresh when r is nil, otherwise restored
+	// from r and checked against the same derivation.
+	open    func(eng T, i int, p int64, seed uint64, r io.Reader) (shardAlgo[E], error)
+	started func(T) // optional; runs once the runtime exists, before any caller
+}
+
+// build assembles an engine of kind k and starts its runtime: fresh
+// shards when dec is nil, otherwise restored from dec in shard order with
+// the stream resuming at count.  Shard i's seed is the i-th draw from the
+// master seed on both paths, so restore re-derives what it checks against.
+func build[C engineConfig, E any, T engineFacade[C, E]](k *engineKind[C, E, T], cfg C, count int64, dec *wordDecoder) (T, error) {
+	var zero T
+	eng, err := k.assemble(cfg, count)
+	if err != nil {
+		if dec != nil {
+			err = fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		}
+		return zero, err
+	}
+	b := eng.base()
+	b.cfg, b.kind, b.header = cfg, k.kind, k.header
+	d := cfg.dims()
+	p := int64(d.shards)
+	seeds := xrand.New(d.seed)
+	algos := make([]shardAlgo[E], d.shards)
+	for i := range algos {
+		seed := seeds.Uint64()
+		if dec == nil {
+			if algos[i], err = k.open(eng, i, p, seed, nil); err != nil {
+				return zero, fmt.Errorf("feww: %s shard %d: %w", k.name, i, err)
+			}
+			continue
+		}
+		restore := func(r io.Reader) (shardAlgo[E], error) { return k.open(eng, i, p, seed, r) }
+		if algos[i], err = restoreShard(dec, restore, i); err != nil {
+			return zero, err
+		}
+	}
+	// The container header: magic, kind byte, the fields and the count.
+	headerBytes := len(engineSnapMagic) + 1 + 8*(len(k.header(&cfg))+1)
+	b.rt = newRuntime(k.name, d.batchSize, d.queueDepth, headerBytes, count, k.item, k.setItem, algos)
+	if k.started != nil {
+		k.started(eng)
+	}
+	return eng, nil
+}
+
+// openChecked opens a core instance fresh from want, or restores it from r
+// and verifies it carries exactly want — otherwise the local/global id
+// mapping (and the universe checks above the engine) would be wrong.
+func openChecked[K comparable, A interface{ Config() K }](want K, r io.Reader,
+	fresh func(K) (A, error), restore func(io.Reader) (A, error)) (A, error) {
+	if r == nil {
+		return fresh(want)
+	}
+	inner, err := restore(r)
+	if err == nil && inner.Config() != want {
+		err = fmt.Errorf("%w: shard config %+v does not match container derivation %+v",
+			ErrBadSnapshot, inner.Config(), want)
+	}
+	return inner, err
+}
+
+// engineBase is the body every engine façade embeds: the resolved
+// configuration, the kind's FEWWENG1 identity and the runtime, with the
+// methods every engine kind carries, defined once.
+type engineBase[C engineConfig, E any] struct {
+	cfg    C
+	kind   byte
+	header func(cfg *C) []any
+	rt     *engineRuntime[E]
+}
+
+func (b *engineBase[C, E]) base() *engineBase[C, E] { return b }
+
+// Shards returns the number of partitions in use.
+func (b *engineBase[C, E]) Shards() int { return len(b.rt.shards) }
+
+// Config returns the resolved configuration the engine runs with:
+// defaults applied, shard count clamped.  It is also the configuration a
+// snapshot persists.
+func (b *engineBase[C, E]) Config() C { return b.cfg }
+
+// Flush hands every buffered element to its shard queue without waiting
+// for the shards to apply them.  The published views catch up as soon as
+// the workers drain the handed-off batches.
+func (b *engineBase[C, E]) Flush() error { return b.rt.f.flush() }
+
+// Drain flushes and blocks until every shard has applied everything queued
+// so far; afterwards all previously fed elements are reflected in queries
+// of both consistencies (the workers republish before acknowledging).
+func (b *engineBase[C, E]) Drain() error { return b.rt.f.drain() }
+
+// Close flushes buffered elements, waits for the shards to apply them,
+// and stops the shard goroutines.  The engine stays queryable after Close
+// (the final published epochs reflect the complete stream); feeding
+// further elements returns ErrClosed.  Close is idempotent.
+func (b *engineBase[C, E]) Close() { b.rt.f.close() }
+
+// Closed reports whether Close has run — i.e. whether the engine still
+// accepts the stream.  Queries remain valid either way; the service
+// health probe exposes this as its serving flag.
+func (b *engineBase[C, E]) Closed() bool { return b.rt.f.isClosed() }
+
+// WitnessTarget returns the guaranteed output size ceil(D/Alpha),
+// identical on every shard.  For a StarEngine it is the topmost rung's
+// target — the static ceiling on any answer's certified size, identical
+// on every member of a cluster over the same graph; the target an answer
+// actually certifies is its StarResult.Target.
+func (b *engineBase[C, E]) WitnessTarget() int64 { return b.rt.shards[0].algo.WitnessTarget() }
+
+// Processed returns the number of stream elements fed to the engine:
+// edges, signed updates, or directed half-edges (two per undirected edge
+// for a StarEngine).  For a WindowEngine it is the window's end position.
+// The counter is maintained on the producer side, so no shard
+// synchronisation is needed: polling it mid-stream is free.
+func (b *engineBase[C, E]) Processed() int64 { return b.rt.f.count.Load() }
+
+// QueueDepths samples the number of elements buffered for each shard:
+// both the batches handed to the shard queue and not yet applied, and
+// the elements still accumulating in the shard's producer-side fill
+// buffer — so light load reads as the handful of elements actually
+// parked, not zero.  A persistently large depth (approaching the
+// configured QueueDepth × BatchSize) marks the shard as the ingest
+// bottleneck — typically an item-skew hot spot.  The numbers are
+// instantaneous: no barrier is taken, so they may be stale by the time
+// they are read.
+func (b *engineBase[C, E]) QueueDepths() []int { return b.rt.f.queueDepths() }
+
+// ViewEpochs reports each shard's published epoch number — 0 before the
+// first publication, then incremented every time the shard's worker
+// republishes its view.  Monotonically non-decreasing per shard; a shard
+// whose epoch stops advancing under load is applying batches without ever
+// idling (publication coalesces under backlog).
+func (b *engineBase[C, E]) ViewEpochs() []uint64 {
+	epochs := make([]uint64, len(b.rt.shards))
+	for i, sh := range b.rt.shards {
+		epochs[i] = sh.view.Load().Epoch
+	}
+	return epochs
+}
+
+// SpaceWords reports the state size summed over the latest published
+// epochs.  Sharding pays the O(n log n) degree-table term once in total
+// (each shard tracks only its own items) while the n^(1/Alpha) reservoir
+// term is paid per shard on a universe P times smaller.
+func (b *engineBase[C, E]) SpaceWords() int {
+	words, _ := b.Usage()
+	return words
+}
+
+// SpaceWordsFresh is SpaceWords under the strict barrier.
+func (b *engineBase[C, E]) SpaceWordsFresh() int {
+	words, _ := b.UsageFresh()
+	return words
+}
+
+// Usage reports SpaceWords and SnapshotSize from the latest published
+// epochs — what a periodic stats poll should call, since it costs a few
+// atomic loads and never quiesces the shards.
+func (b *engineBase[C, E]) Usage() (spaceWords, snapshotBytes int) { return b.rt.usage(false) }
+
+// UsageFresh reports SpaceWords and SnapshotSize together under a single
+// quiesce — exact at the barrier, at the cost of stalling ingest once.
+// Periodic stats polls should prefer the barrier-free Usage.
+func (b *engineBase[C, E]) UsageFresh() (spaceWords, snapshotBytes int) { return b.rt.usage(true) }
+
+// feed is every façade's feed path: the whole batch is validated before
+// any of it is routed (copied into the per-shard buffers).
+func (b *engineBase[C, E]) feed(els []E, check func(i, total int, el E) error) error {
+	for i, el := range els {
+		if err := check(i, len(els), el); err != nil {
+			return err
+		}
+	}
+	return b.rt.f.addBatch(els)
+}
+
+// feedOne is feed for a single element.
+func (b *engineBase[C, E]) feedOne(el E, check func(i, total int, el E) error) error {
+	if err := check(0, 1, el); err != nil {
+		return err
+	}
+	return b.rt.f.add(el)
+}
+
+// resultQueries is the base plus the Result query pair: the whole query
+// surface of the TurnstileEngine, whose samplers certify only
+// full-target neighbourhoods.
+type resultQueries[C engineConfig, E any] struct{ engineBase[C, E] }
+
+// Result returns a frequent item with at least ceil(D/Alpha) witnesses
+// from the latest published epochs, or ErrNoWitness if no shard has
+// published one.  The choice is deterministic: the smallest-id frequent
+// item of the lowest-index shard holding one — the same selection
+// ResultFresh makes, so the two consistencies agree on quiescent state.
+func (q *resultQueries[C, E]) Result() (Neighbourhood, error) { return q.rt.result(false) }
+
+// ResultFresh is Result under the strict barrier: it quiesces the shards
+// first, so the answer reflects every element fed before the call.
+func (q *resultQueries[C, E]) ResultFresh() (Neighbourhood, error) { return q.rt.result(true) }
+
+// flatQueries adds Results and Best: the query surface of the flat
+// kinds, Engine and WindowEngine.
+type flatQueries[C engineConfig, E any] struct{ resultQueries[C, E] }
+
+// Results returns every distinct frequent element in the latest published
+// epochs, sorted by global item id.  The per-item partition guarantees no
+// item is reported by two shards, so the merge is a pure concatenation.
+// The call is barrier-free: it never blocks ingest or other queries.
+// The returned neighbourhoods stay valid forever, but their witness
+// slices are shared with the published view (and with other callers on
+// the same epoch) — treat them as read-only.
+func (q *flatQueries[C, E]) Results() []Neighbourhood { return q.rt.results(false) }
+
+// ResultsFresh is Results under the strict barrier.
+func (q *flatQueries[C, E]) ResultsFresh() []Neighbourhood { return q.rt.results(true) }
+
+// Best max-selects the largest neighbourhood across the latest published
+// epochs, even if below the ceil(D/Alpha) target; found is false only if
+// no shard has published anything.  Ties break toward the lower shard
+// index.  Barrier-free; see Results.
+func (q *flatQueries[C, E]) Best() (Neighbourhood, bool) { return q.rt.best(false) }
+
+// BestFresh is Best under the strict barrier.
+func (q *flatQueries[C, E]) BestFresh() (Neighbourhood, bool) { return q.rt.best(true) }
+
+// The routing keys of the Edge streams (Engine, StarEngine) and of the
+// turnstile Update stream: the item id A.
+func edgeItem(e Edge) int64            { return e.A }
+func setEdgeItem(e *Edge, a int64)     { e.A = a }
+func updateItem(u Update) int64        { return u.A }
+func setUpdateItem(u *Update, a int64) { u.A = a }
+
+// checkEdge validates one insertion-only occurrence against a universe of
+// n items (Engine, WindowEngine).  A negative item would make the shard
+// router's modulo negative (an out-of-range shard index); an item >= N
+// would silently land in the wrong residue class and corrupt the
+// local/global id mapping.  Both are rejected here, before anything is
+// buffered.  The witness space is unbounded but must be non-negative.
+func checkEdge(i, total int, ed Edge, n int64) error {
+	if ed.A < 0 || ed.A >= n {
+		return fmt.Errorf("%w: edge %d of %d: item %d not in [0, %d)", ErrOutOfUniverse, i, total, ed.A, n)
+	}
+	if ed.B < 0 {
+		return fmt.Errorf("%w: edge %d of %d: witness %d is negative", ErrOutOfUniverse, i, total, ed.B)
+	}
+	return nil
+}
+
 // EngineConfig parameterises the sharded insertion-only engine.  The
 // embedded Config describes the global problem (full universe size N,
 // threshold D, Alpha, master Seed); the engine derives per-shard universes
@@ -107,6 +387,10 @@ type EngineConfig struct {
 // resolve applies defaults and clamps.
 func (cfg *EngineConfig) resolve() error {
 	return resolveShardParams("Engine", cfg.N, &cfg.Shards, &cfg.BatchSize, &cfg.QueueDepth)
+}
+
+func (c EngineConfig) dims() engineDims {
+	return engineDims{c.N, c.Seed, c.Shards, c.BatchSize, c.QueueDepth}
 }
 
 // Engine is a sharded, batched front-end to the insertion-only FEwW
@@ -143,8 +427,30 @@ func (cfg *EngineConfig) resolve() error {
 // After Drain or Close the two consistencies coincide.  Queries of either
 // kind remain valid after Close.
 type Engine struct {
-	cfg EngineConfig
-	rt  *engineRuntime[Edge]
+	flatQueries[EngineConfig, Edge]
+}
+
+var insertOnlyKind = &engineKind[EngineConfig, Edge, *Engine]{
+	name: "Engine",
+	kind: engineKindInsertOnly,
+	header: func(c *EngineConfig) []any {
+		return []any{&c.N, &c.D, &c.Alpha, &c.Seed, &c.ScaleFactor, &c.Shards, &c.BatchSize, &c.QueueDepth}
+	},
+	item:     edgeItem,
+	setItem:  setEdgeItem,
+	assemble: func(EngineConfig, int64) (*Engine, error) { return new(Engine), nil },
+	// Shard i is an InsertOnly instance over its slice of the universe.
+	open: func(e *Engine, i int, p int64, seed uint64, r io.Reader) (shardAlgo[Edge], error) {
+		want := core.InsertOnlyConfig{
+			N:           shardUniverse(e.cfg.N, p, i),
+			D:           e.cfg.D,
+			Alpha:       e.cfg.Alpha,
+			Seed:        seed,
+			ScaleFactor: e.cfg.ScaleFactor,
+		}
+		inner, err := openChecked(want, r, core.NewInsertOnly, core.RestoreInsertOnly)
+		return insertOnlyAlgo{inner}, err
+	},
 }
 
 // NewEngine constructs a sharded engine and starts its shard goroutines.
@@ -154,70 +460,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
-	p := int64(cfg.Shards)
-	seeds := xrand.New(cfg.Seed)
-	inners := make([]*core.InsertOnly, cfg.Shards)
-	for i := range inners {
-		inner, err := core.NewInsertOnly(cfg.shardConfig(i, p, seeds.Uint64()))
-		if err != nil {
-			return nil, fmt.Errorf("feww: Engine shard %d: %w", i, err)
-		}
-		inners[i] = inner
-	}
-	return newEngineFromInners(cfg, inners), nil
-}
-
-// shardConfig derives shard i's InsertOnly configuration from the
-// resolved engine configuration; snapshot restore verifies shard
-// snapshots against exactly this derivation.
-func (cfg *EngineConfig) shardConfig(i int, p int64, seed uint64) core.InsertOnlyConfig {
-	return core.InsertOnlyConfig{
-		N:           shardUniverse(cfg.N, p, i),
-		D:           cfg.D,
-		Alpha:       cfg.Alpha,
-		Seed:        seed,
-		ScaleFactor: cfg.ScaleFactor,
-	}
-}
-
-// newEngineFromInners assembles the engine around existing per-shard
-// algorithm instances — freshly constructed by NewEngine, or restored
-// from a snapshot by RestoreEngine — and starts the shard goroutines.
-func newEngineFromInners(cfg EngineConfig, inners []*core.InsertOnly) *Engine {
-	algos := make([]shardAlgo[Edge], len(inners))
-	for i, inner := range inners {
-		algos[i] = insertOnlyAlgo{inner}
-	}
-	return &Engine{
-		cfg: cfg,
-		rt: newRuntime("Engine", cfg.BatchSize, cfg.QueueDepth, engineSnapHeaderBytes,
-			func(e Edge) int64 { return e.A },
-			func(e *Edge, a int64) { e.A = a },
-			algos),
-	}
-}
-
-// Shards returns the number of partitions in use.
-func (e *Engine) Shards() int { return len(e.rt.shards) }
-
-// Config returns the resolved configuration the engine runs with:
-// defaults applied, shard count clamped.  It is also the configuration a
-// snapshot persists.
-func (e *Engine) Config() EngineConfig { return e.cfg }
-
-// checkEdge validates one occurrence against the engine's universe.  A
-// negative item would make the shard router's modulo negative (an
-// out-of-range shard index); an item >= N would silently land in the
-// wrong residue class and corrupt the local/global id mapping.  Both are
-// rejected here, before anything is buffered.
-func (e *Engine) checkEdge(i, total int, a, b int64) error {
-	if a < 0 || a >= e.cfg.N {
-		return fmt.Errorf("%w: edge %d of %d: item %d not in [0, %d)", ErrOutOfUniverse, i, total, a, e.cfg.N)
-	}
-	if b < 0 {
-		return fmt.Errorf("%w: edge %d of %d: witness %d is negative", ErrOutOfUniverse, i, total, b)
-	}
-	return nil
+	return build(insertOnlyKind, cfg, 0, nil)
 }
 
 // ProcessEdge feeds one occurrence: item a in [0, N) arrived with witness
@@ -225,117 +468,15 @@ func (e *Engine) checkEdge(i, total int, a, b int64) error {
 // accumulates (or on Flush/Close/any barrier query).  It returns an error
 // wrapping ErrOutOfUniverse for an edge outside the configured universe
 // and ErrClosed after Close; in both cases nothing is fed.
-func (e *Engine) ProcessEdge(a, b int64) error {
-	if err := e.checkEdge(0, 1, a, b); err != nil {
-		return err
-	}
-	return e.rt.f.add(Edge{A: a, B: b})
-}
+func (e *Engine) ProcessEdge(a, b int64) error { return e.feedOne(Edge{A: a, B: b}, e.check) }
 
 // ProcessEdges feeds a batch of occurrences in order.  The slice is copied
 // into per-shard buffers; the caller keeps ownership of edges.  The whole
 // batch is validated first and rejected atomically — on error the engine
 // state is exactly as before the call.
-func (e *Engine) ProcessEdges(edges []Edge) error {
-	for i, ed := range edges {
-		if err := e.checkEdge(i, len(edges), ed.A, ed.B); err != nil {
-			return err
-		}
-	}
-	return e.rt.f.addBatch(edges)
-}
+func (e *Engine) ProcessEdges(edges []Edge) error { return e.feed(edges, e.check) }
 
-// Flush hands every buffered edge to its shard queue without waiting for
-// the shards to apply them.  The published views catch up as soon as the
-// workers drain the handed-off batches.
-func (e *Engine) Flush() error { return e.rt.f.flush() }
-
-// Drain flushes and blocks until every shard has applied everything queued
-// so far; afterwards all previously fed edges are reflected in queries of
-// both consistencies (the workers republish before acknowledging).
-func (e *Engine) Drain() error { return e.rt.f.drain() }
-
-// Close flushes buffered edges, waits for the shards to apply them, and
-// stops the shard goroutines.  The engine stays queryable after Close
-// (the final published epochs reflect the complete stream); feeding
-// further edges returns ErrClosed.  Close is idempotent.
-func (e *Engine) Close() { e.rt.f.close() }
-
-// Closed reports whether Close has run — i.e. whether the engine still
-// accepts the stream.  Queries remain valid either way; the service
-// health probe exposes this as its serving flag.
-func (e *Engine) Closed() bool { return e.rt.f.isClosed() }
-
-// Result returns a frequent item with at least ceil(D/Alpha) witnesses
-// from the latest published epochs, or ErrNoWitness if no shard has
-// published one.  The choice is deterministic: the smallest-id frequent
-// item of the lowest-index shard holding one — the same selection
-// ResultFresh makes, so the two consistencies agree on quiescent state.
-func (e *Engine) Result() (Neighbourhood, error) { return e.rt.result(false) }
-
-// ResultFresh is Result under the strict barrier: it quiesces the shards
-// first, so the answer reflects every edge fed before the call.
-func (e *Engine) ResultFresh() (Neighbourhood, error) { return e.rt.result(true) }
-
-// Results returns every distinct frequent element in the latest published
-// epochs, sorted by global item id.  The per-item partition guarantees no
-// item is reported by two shards, so the merge is a pure concatenation.
-// The call is barrier-free: it never blocks ingest or other queries.
-// The returned neighbourhoods stay valid forever, but their witness
-// slices are shared with the published view (and with other callers on
-// the same epoch) — treat them as read-only.
-func (e *Engine) Results() []Neighbourhood { return e.rt.results(false) }
-
-// ResultsFresh is Results under the strict barrier.
-func (e *Engine) ResultsFresh() []Neighbourhood { return e.rt.results(true) }
-
-// Best max-selects the largest neighbourhood across the latest published
-// epochs, even if below the ceil(D/Alpha) target; found is false only if
-// no shard has published anything.  Ties break toward the lower shard
-// index.  Barrier-free; see Results.
-func (e *Engine) Best() (Neighbourhood, bool) { return e.rt.best(false) }
-
-// BestFresh is Best under the strict barrier.
-func (e *Engine) BestFresh() (Neighbourhood, bool) { return e.rt.best(true) }
-
-// WitnessTarget returns ceil(D/Alpha), the guaranteed output size.
-func (e *Engine) WitnessTarget() int64 { return e.rt.witnessTarget() }
-
-// EdgesProcessed returns the number of edges fed to the engine.  The
-// counter is maintained on the producer side, so no shard synchronisation
-// is needed: polling it mid-stream is free.
-func (e *Engine) EdgesProcessed() int64 { return e.rt.f.count.Load() }
-
-// QueueDepths samples the number of elements buffered for each shard:
-// both the batches handed to the shard queue and not yet applied, and
-// the elements still accumulating in the shard's producer-side fill
-// buffer — so light load reads as the handful of edges actually parked,
-// not zero.  A persistently large depth (approaching the configured
-// QueueDepth × BatchSize) marks the shard as the ingest bottleneck —
-// typically an item-skew hot spot.  The numbers are instantaneous: no
-// barrier is taken, so they may be stale by the time they are read.
-func (e *Engine) QueueDepths() []int { return e.rt.f.queueDepths() }
-
-// ViewEpochs reports each shard's published epoch number — 0 before the
-// first publication, then incremented every time the shard's worker
-// republishes its view.  Monotonically non-decreasing per shard; a shard
-// whose epoch stops advancing under load is applying batches without ever
-// idling (publication coalesces under backlog).
-func (e *Engine) ViewEpochs() []uint64 { return e.rt.viewEpochs() }
-
-// SpaceWords reports the state size summed over the latest published
-// epochs.  Sharding pays the O(n log n) degree-table term once in total
-// (each shard tracks only its own items) while the n^(1/Alpha) reservoir
-// term is paid per shard on a universe P times smaller.
-func (e *Engine) SpaceWords() int { return e.rt.spaceWords(false) }
-
-// SpaceWordsFresh is SpaceWords under the strict barrier.
-func (e *Engine) SpaceWordsFresh() int { return e.rt.spaceWords(true) }
-
-// Usage reports SpaceWords and SnapshotSize from the latest published
-// epochs — what a periodic stats poll should call, since it costs a few
-// atomic loads and never quiesces the shards.
-func (e *Engine) Usage() (spaceWords, snapshotBytes int) { return e.rt.usage(false) }
+func (e *Engine) check(i, total int, ed Edge) error { return checkEdge(i, total, ed, e.cfg.N) }
 
 // TurnstileEngineConfig parameterises the sharded insertion-deletion
 // engine.  MaxSamplers in the embedded config caps each shard separately.
@@ -353,16 +494,46 @@ func (cfg *TurnstileEngineConfig) resolve() error {
 	return resolveShardParams("TurnstileEngine", cfg.N, &cfg.Shards, &cfg.BatchSize, &cfg.QueueDepth)
 }
 
+func (c TurnstileEngineConfig) dims() engineDims {
+	return engineDims{c.N, c.Seed, c.Shards, c.BatchSize, c.QueueDepth}
+}
+
 // TurnstileEngine is the sharded front-end to the insertion-deletion FEwW
 // algorithm: the same per-item partition and batched hand-off as Engine,
 // with per-shard InsertDelete instances.  The same concurrency,
 // determinism, and consistency contracts apply: safe for any number of
 // goroutines, deterministic whenever a single producer fixes the update
 // order, queries barrier-free against published epochs by default with
-// Fresh variants for the strict barrier.
+// Fresh variants for the strict barrier.  Its query is Result: a
+// frequent item of the final graph with ceil(D/Alpha) live witnesses.
 type TurnstileEngine struct {
-	cfg TurnstileEngineConfig
-	rt  *engineRuntime[Update]
+	resultQueries[TurnstileEngineConfig, Update]
+}
+
+var turnstileKind = &engineKind[TurnstileEngineConfig, Update, *TurnstileEngine]{
+	name: "TurnstileEngine",
+	kind: engineKindTurnstile,
+	header: func(c *TurnstileEngineConfig) []any {
+		return []any{&c.N, &c.M, &c.D, &c.Alpha, &c.Seed, &c.ScaleFactor, &c.MaxSamplers,
+			&c.Shards, &c.BatchSize, &c.QueueDepth}
+	},
+	item:     updateItem,
+	setItem:  setUpdateItem,
+	assemble: func(TurnstileEngineConfig, int64) (*TurnstileEngine, error) { return new(TurnstileEngine), nil },
+	// Shard i is an InsertDelete instance; MaxSamplers caps each shard.
+	open: func(e *TurnstileEngine, i int, p int64, seed uint64, r io.Reader) (shardAlgo[Update], error) {
+		want := core.InsertDeleteConfig{
+			N:           shardUniverse(e.cfg.N, p, i),
+			M:           e.cfg.M,
+			D:           e.cfg.D,
+			Alpha:       e.cfg.Alpha,
+			Seed:        seed,
+			ScaleFactor: e.cfg.ScaleFactor,
+			MaxSamplers: e.cfg.MaxSamplers,
+		}
+		inner, err := openChecked(want, r, core.NewInsertDelete, core.RestoreInsertDelete)
+		return turnstileAlgo{inner}, err
+	},
 }
 
 // NewTurnstileEngine constructs a sharded turnstile engine and starts its
@@ -372,59 +543,12 @@ func NewTurnstileEngine(cfg TurnstileEngineConfig) (*TurnstileEngine, error) {
 	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
-	p := int64(cfg.Shards)
-	seeds := xrand.New(cfg.Seed)
-	inners := make([]*core.InsertDelete, cfg.Shards)
-	for i := range inners {
-		inner, err := core.NewInsertDelete(cfg.shardConfig(i, p, seeds.Uint64()))
-		if err != nil {
-			return nil, fmt.Errorf("feww: TurnstileEngine shard %d: %w", i, err)
-		}
-		inners[i] = inner
-	}
-	return newTurnstileFromInners(cfg, inners), nil
+	return build(turnstileKind, cfg, 0, nil)
 }
-
-// shardConfig derives shard i's InsertDelete configuration; see
-// (*EngineConfig).shardConfig.
-func (cfg *TurnstileEngineConfig) shardConfig(i int, p int64, seed uint64) core.InsertDeleteConfig {
-	return core.InsertDeleteConfig{
-		N:           shardUniverse(cfg.N, p, i),
-		M:           cfg.M,
-		D:           cfg.D,
-		Alpha:       cfg.Alpha,
-		Seed:        seed,
-		ScaleFactor: cfg.ScaleFactor,
-		MaxSamplers: cfg.MaxSamplers,
-	}
-}
-
-// newTurnstileFromInners assembles the engine around existing per-shard
-// instances and starts the shard goroutines.
-func newTurnstileFromInners(cfg TurnstileEngineConfig, inners []*core.InsertDelete) *TurnstileEngine {
-	algos := make([]shardAlgo[Update], len(inners))
-	for i, inner := range inners {
-		algos[i] = turnstileAlgo{inner}
-	}
-	return &TurnstileEngine{
-		cfg: cfg,
-		rt: newRuntime("TurnstileEngine", cfg.BatchSize, cfg.QueueDepth, turnstileSnapHeaderBytes,
-			func(u Update) int64 { return u.A },
-			func(u *Update, a int64) { u.A = a },
-			algos),
-	}
-}
-
-// Shards returns the number of partitions in use.
-func (e *TurnstileEngine) Shards() int { return len(e.rt.shards) }
-
-// Config returns the resolved configuration the engine runs with; see
-// (*Engine).Config.
-func (e *TurnstileEngine) Config() TurnstileEngineConfig { return e.cfg }
 
 // checkUpdate validates one signed update against the engine's universe
-// and the turnstile op set; see (*Engine).checkEdge for why out-of-range
-// items must be stopped before the shard router.
+// and the turnstile op set; see checkEdge for why out-of-range items must
+// be stopped before the shard router.
 func (e *TurnstileEngine) checkUpdate(i, total int, u Update) error {
 	if u.Op != stream.Insert && u.Op != stream.Delete {
 		return fmt.Errorf("%w: update %d of %d: op %d", ErrInvalidOp, i, total, u.Op)
@@ -442,81 +566,16 @@ func (e *TurnstileEngine) checkUpdate(i, total int, u Update) error {
 // ErrOutOfUniverse for an edge outside [0, N) x [0, M) and ErrClosed after
 // Close; in both cases nothing is fed.
 func (e *TurnstileEngine) Insert(a, b int64) error {
-	u := Update{Edge: Edge{A: a, B: b}, Op: stream.Insert}
-	if err := e.checkUpdate(0, 1, u); err != nil {
-		return err
-	}
-	return e.rt.f.add(u)
+	return e.feedOne(Update{Edge: Edge{A: a, B: b}, Op: stream.Insert}, e.checkUpdate)
 }
 
 // Delete feeds the deletion of edge (a, b); the edge must currently exist
 // (simple-graph turnstile promise).  Errors as Insert.
 func (e *TurnstileEngine) Delete(a, b int64) error {
-	u := Update{Edge: Edge{A: a, B: b}, Op: stream.Delete}
-	if err := e.checkUpdate(0, 1, u); err != nil {
-		return err
-	}
-	return e.rt.f.add(u)
+	return e.feedOne(Update{Edge: Edge{A: a, B: b}, Op: stream.Delete}, e.checkUpdate)
 }
 
 // ProcessUpdates feeds a batch of signed updates in order.  The slice is
 // copied into per-shard buffers; the caller keeps ownership of ups.  The
 // whole batch is validated first and rejected atomically on error.
-func (e *TurnstileEngine) ProcessUpdates(ups []Update) error {
-	for i, u := range ups {
-		if err := e.checkUpdate(i, len(ups), u); err != nil {
-			return err
-		}
-	}
-	return e.rt.f.addBatch(ups)
-}
-
-// Flush hands every buffered update to its shard queue without waiting.
-func (e *TurnstileEngine) Flush() error { return e.rt.f.flush() }
-
-// Drain flushes and blocks until every shard has applied everything queued.
-func (e *TurnstileEngine) Drain() error { return e.rt.f.drain() }
-
-// Close flushes, waits for the shards to drain, and stops them.  The
-// engine stays queryable after Close; feeding further updates returns
-// ErrClosed.  Close is idempotent.
-func (e *TurnstileEngine) Close() { e.rt.f.close() }
-
-// Closed reports whether Close has run; see (*Engine).Closed.
-func (e *TurnstileEngine) Closed() bool { return e.rt.f.isClosed() }
-
-// Result returns a frequent item of the final graph with at least
-// ceil(D/Alpha) live witnesses from the latest published epochs, or
-// ErrNoWitness if no shard has published one.  Shards are consulted in
-// index order.  Barrier-free; see (*Engine).Results for the contract.
-func (e *TurnstileEngine) Result() (Neighbourhood, error) { return e.rt.result(false) }
-
-// ResultFresh is Result under the strict barrier: it quiesces the shards
-// first, so the answer reflects every update fed before the call.
-func (e *TurnstileEngine) ResultFresh() (Neighbourhood, error) { return e.rt.result(true) }
-
-// WitnessTarget returns ceil(D/Alpha).
-func (e *TurnstileEngine) WitnessTarget() int64 { return e.rt.witnessTarget() }
-
-// UpdatesProcessed returns the number of updates fed to the engine.  The
-// counter is maintained on the producer side, so polling it is free.
-func (e *TurnstileEngine) UpdatesProcessed() int64 { return e.rt.f.count.Load() }
-
-// QueueDepths samples the number of elements buffered per shard (queued
-// batches plus the fill buffer); see (*Engine).QueueDepths.
-func (e *TurnstileEngine) QueueDepths() []int { return e.rt.f.queueDepths() }
-
-// ViewEpochs reports each shard's published epoch number; see
-// (*Engine).ViewEpochs.
-func (e *TurnstileEngine) ViewEpochs() []uint64 { return e.rt.viewEpochs() }
-
-// SpaceWords reports the state size summed over the latest published
-// epochs; barrier-free.
-func (e *TurnstileEngine) SpaceWords() int { return e.rt.spaceWords(false) }
-
-// SpaceWordsFresh is SpaceWords under the strict barrier.
-func (e *TurnstileEngine) SpaceWordsFresh() int { return e.rt.spaceWords(true) }
-
-// Usage reports SpaceWords and SnapshotSize from the latest published
-// epochs; see (*Engine).Usage.
-func (e *TurnstileEngine) Usage() (spaceWords, snapshotBytes int) { return e.rt.usage(false) }
+func (e *TurnstileEngine) ProcessUpdates(ups []Update) error { return e.feed(ups, e.checkUpdate) }

@@ -48,7 +48,7 @@ func TestEngineConcurrentProducersAndQueries(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				eng.Best()
 				eng.SpaceWords()
-				eng.EdgesProcessed()
+				eng.Processed()
 				eng.QueueDepths()
 				if eng.Closed() {
 					t.Error("Closed() = true while the engine is live")
@@ -61,8 +61,8 @@ func TestEngineConcurrentProducersAndQueries(t *testing.T) {
 	qwg.Wait()
 	eng.Close()
 
-	if got, want := eng.EdgesProcessed(), int64(producers*batches*batchLen); got != want {
-		t.Fatalf("EdgesProcessed = %d, want %d", got, want)
+	if got, want := eng.Processed(), int64(producers*batches*batchLen); got != want {
+		t.Fatalf("Processed = %d, want %d", got, want)
 	}
 }
 

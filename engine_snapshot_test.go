@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"math"
 	"testing"
 
 	"feww/internal/workload"
@@ -66,8 +68,8 @@ func TestEngineSnapshotContinuation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resumed.Close()
-	if resumed.EdgesProcessed() != int64(cut) {
-		t.Fatalf("restored engine reports %d edges, want %d", resumed.EdgesProcessed(), cut)
+	if resumed.Processed() != int64(cut) {
+		t.Fatalf("restored engine reports %d edges, want %d", resumed.Processed(), cut)
 	}
 	if resumed.Shards() != full.Shards() {
 		t.Fatalf("restored engine has %d shards, want %d", resumed.Shards(), full.Shards())
@@ -126,8 +128,8 @@ func TestEngineSnapshotOfClosedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if restored.EdgesProcessed() != eng.EdgesProcessed() {
-		t.Fatalf("edges %d, want %d", restored.EdgesProcessed(), eng.EdgesProcessed())
+	if restored.Processed() != eng.Processed() {
+		t.Fatalf("edges %d, want %d", restored.Processed(), eng.Processed())
 	}
 }
 
@@ -178,8 +180,8 @@ func TestTurnstileEngineSnapshotContinuation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resumed.Close()
-	if resumed.UpdatesProcessed() != int64(cut) {
-		t.Fatalf("restored engine reports %d updates, want %d", resumed.UpdatesProcessed(), cut)
+	if resumed.Processed() != int64(cut) {
+		t.Fatalf("restored engine reports %d updates, want %d", resumed.Processed(), cut)
 	}
 	resumed.ProcessUpdates(inst.Updates[cut:])
 
@@ -209,61 +211,167 @@ func TestTurnstileEngineSnapshotContinuation(t *testing.T) {
 	}
 }
 
-func TestRestoreEngineKindMismatch(t *testing.T) {
-	eng, err := NewEngine(engineSnapCfg())
+// restoreContainer is one engine kind's snapshot, fed to the corrupt and
+// hostile cases below, with the header word indices (after magic and
+// kind byte) of the fields every kind shares.
+type restoreContainer struct {
+	name    string
+	snap    []byte
+	restore func(io.Reader) error
+	// Header word indices of N, Shards, BatchSize, QueueDepth and the
+	// element count, plus kind-specific hostile words.
+	n, shards, batch, queue, count int
+	hostile                        map[string]map[int]uint64
+}
+
+// restoreErr adapts a kind's Restore function, closing an engine that was
+// (wrongly) accepted so the test leaks no shard goroutines.
+func restoreErr[T interface{ Close() }](restore func(io.Reader) (T, error)) func(io.Reader) error {
+	return func(r io.Reader) error {
+		eng, err := restore(r)
+		if err == nil {
+			eng.Close()
+		}
+		return err
+	}
+}
+
+// restoreContainers builds a small engine of every kind, feeds it a few
+// elements, and returns its snapshot with the kind's restore path.
+func restoreContainers(t *testing.T) []restoreContainer {
+	t.Helper()
+	snap := func(eng interface {
+		Snapshot(io.Writer) error
+		Close()
+	}) []byte {
+		defer eng.Close()
+		var buf bytes.Buffer
+		if err := eng.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ieng, err := NewEngine(engineSnapCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	var buf bytes.Buffer
-	if err := eng.Snapshot(&buf); err != nil {
+	teng, err := NewTurnstileEngine(turnstileEngineSnapCfg())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreTurnstileEngine(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("turnstile restore of insert-only snapshot: got %v, want ErrBadSnapshot", err)
+	seng, err := NewStarEngine(StarEngineConfig{N: 40, Alpha: 1, Seed: 5, Shards: 2, BatchSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weng, err := NewWindowEngine(WindowEngineConfig{
+		Config: Config{N: 40, D: 4, Alpha: 2, Seed: 6}, Window: 32, Buckets: 4, Shards: 2, BatchSize: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 30; i++ {
+		if err := errors.Join(ieng.ProcessEdge(i%7, i), teng.Insert(i%7, i), seng.ProcessEdge(i%5, 5+i), weng.ProcessEdge(i%7, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return []restoreContainer{
+		// Engine: N, D, Alpha, Seed, ScaleFactor, Shards, BatchSize, QueueDepth, count.
+		{name: "insert-only", snap: snap(ieng), restore: restoreErr(RestoreEngine),
+			n: 0, shards: 5, batch: 6, queue: 7, count: 8},
+		// TurnstileEngine: N, M, D, Alpha, Seed, ScaleFactor, MaxSamplers,
+		// Shards, BatchSize, QueueDepth, count.
+		{name: "turnstile", snap: snap(teng), restore: restoreErr(RestoreTurnstileEngine),
+			n: 0, shards: 7, batch: 8, queue: 9, count: 10,
+			hostile: map[string]map[int]uint64{"inflated M": {1: 1 << 40}}},
+		// StarEngine: N, M, Alpha, Eps, Seed, ScaleFactor, Shards,
+		// BatchSize, QueueDepth, count.
+		{name: "star", snap: snap(seng), restore: restoreErr(RestoreStarEngine),
+			n: 0, shards: 6, batch: 7, queue: 8, count: 9,
+			hostile: map[string]map[int]uint64{
+				"M below N":    {1: 1},
+				"zero alpha":   {2: 0},
+				"NaN eps":      {3: math.Float64bits(math.NaN())},
+				"tiny eps":     {3: math.Float64bits(1e-300)},
+				"huge M":       {1: math.MaxInt64},
+				"negative M":   {1: ^uint64(0)},
+				"infinite eps": {3: math.Float64bits(math.Inf(1))},
+			}},
+		// WindowEngine: N, D, Alpha, Window, Buckets, Seed, ScaleFactor,
+		// Shards, BatchSize, QueueDepth, count.
+		{name: "window", snap: snap(weng), restore: restoreErr(RestoreWindowEngine),
+			n: 0, shards: 7, batch: 8, queue: 9, count: 10,
+			hostile: map[string]map[int]uint64{
+				"zero window":          {3: 0},
+				"buckets above window": {4: 1 << 40},
+				"zero buckets":         {4: 0},
+			}},
+	}
+}
+
+// TestRestoreEngineKindMismatch feeds every kind's container through the
+// one restore path with the wrong kind, corrupted, truncated and with
+// hostile headers.  Every case must fail with an error — wrapping
+// ErrBadSnapshot wherever the bytes are well-formed enough to say why —
+// and none may panic or allocate on a hostile header's behalf.
+func TestRestoreEngineKindMismatch(t *testing.T) {
+	kinds := restoreContainers(t)
+	for i, k := range kinds {
+		other := kinds[(i+1)%len(kinds)]
+		if err := other.restore(bytes.NewReader(k.snap)); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("%s restore of a %s snapshot: got %v, want ErrBadSnapshot", other.name, k.name, err)
+		}
 	}
 
 	t.Run("corrupt", func(t *testing.T) {
-		good := buf.Bytes()
-		if _, err := RestoreEngine(bytes.NewReader(nil)); !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("empty: got %v", err)
-		}
-		bad := append([]byte(nil), good...)
-		bad[0] ^= 0xff
-		if _, err := RestoreEngine(bytes.NewReader(bad)); !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("bad magic: got %v", err)
-		}
-		for _, frac := range []int{2, 3, 10} {
-			if _, err := RestoreEngine(bytes.NewReader(good[:len(good)/frac])); err == nil {
-				t.Fatalf("truncation to 1/%d accepted", frac)
-			}
+		for _, k := range kinds {
+			t.Run(k.name, func(t *testing.T) {
+				good := k.snap
+				if err := k.restore(bytes.NewReader(nil)); !errors.Is(err, ErrBadSnapshot) {
+					t.Fatalf("empty: got %v", err)
+				}
+				bad := append([]byte(nil), good...)
+				bad[0] ^= 0xff
+				if err := k.restore(bytes.NewReader(bad)); !errors.Is(err, ErrBadSnapshot) {
+					t.Fatalf("bad magic: got %v", err)
+				}
+				// Cut inside the magic, the header, the first shard's length
+				// prefix, and at fractions of the whole container.
+				header := 8 + 1 + 8*(k.count+1)
+				for _, cut := range []int{5, 9, header - 3, header + 4, len(good) / 2, len(good) / 3, len(good) / 10, len(good) - 1} {
+					if err := k.restore(bytes.NewReader(good[:cut])); err == nil {
+						t.Fatalf("truncation to %d of %d bytes accepted", cut, len(good))
+					}
+				}
+			})
 		}
 	})
 
 	// A header claiming absurd dimensions must fail as ErrBadSnapshot
 	// before any allocation is attempted on its behalf.
 	t.Run("hostile header", func(t *testing.T) {
-		good := buf.Bytes()
-		// u64 field order after magic+kind: N, D, Alpha, Seed,
-		// ScaleFactor, Shards, BatchSize, QueueDepth, count.
-		corrupt := func(fields map[int]uint64) []byte {
-			bad := append([]byte(nil), good...)
-			for idx, v := range fields {
-				binary.LittleEndian.PutUint64(bad[8+1+8*idx:], v)
-			}
-			return bad
-		}
-		cases := map[string][]byte{
-			"huge shards":     corrupt(map[int]uint64{0: 1 << 41, 5: 1 << 40}), // N raised so shards <= N passes
-			"huge batch":      corrupt(map[int]uint64{6: 1 << 40}),
-			"huge queue":      corrupt(map[int]uint64{7: 1 << 40}),
-			"negative shards": corrupt(map[int]uint64{5: ^uint64(0)}),
-			"negative count":  corrupt(map[int]uint64{8: ^uint64(0)}),
-		}
-		for name, bad := range cases {
-			if _, err := RestoreEngine(bytes.NewReader(bad)); !errors.Is(err, ErrBadSnapshot) {
-				t.Fatalf("%s: got %v, want ErrBadSnapshot", name, err)
-			}
+		for _, k := range kinds {
+			t.Run(k.name, func(t *testing.T) {
+				cases := map[string]map[int]uint64{
+					"huge shards":     {k.n: 1 << 41, k.shards: 1 << 40}, // N raised so shards <= N passes
+					"huge batch":      {k.batch: 1 << 40},
+					"huge queue":      {k.queue: 1 << 40},
+					"negative shards": {k.shards: ^uint64(0)},
+					"zero N":          {k.n: 0},
+					"negative count":  {k.count: ^uint64(0)},
+				}
+				for name, fields := range k.hostile {
+					cases[name] = fields
+				}
+				for name, fields := range cases {
+					bad := append([]byte(nil), k.snap...)
+					for idx, v := range fields {
+						binary.LittleEndian.PutUint64(bad[8+1+8*idx:], v)
+					}
+					if err := k.restore(bytes.NewReader(bad)); !errors.Is(err, ErrBadSnapshot) {
+						t.Fatalf("%s: got %v, want ErrBadSnapshot", name, err)
+					}
+				}
+			})
 		}
 	})
 }

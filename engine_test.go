@@ -96,8 +96,8 @@ func TestEngineResultsAcrossShards(t *testing.T) {
 		}
 	}
 
-	if got := eng.EdgesProcessed(); got != int64(len(edges)) {
-		t.Fatalf("EdgesProcessed = %d, want %d", got, len(edges))
+	if got := eng.Processed(); got != int64(len(edges)) {
+		t.Fatalf("Processed = %d, want %d", got, len(edges))
 	}
 	if sw := eng.SpaceWords(); sw <= 0 {
 		t.Fatalf("SpaceWords = %d, want > 0", sw)
@@ -176,8 +176,8 @@ func TestEngineMidStreamQueries(t *testing.T) {
 	if err := eng.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.EdgesProcessed(); got != int64(half) {
-		t.Fatalf("EdgesProcessed mid-stream = %d, want %d", got, half)
+	if got := eng.Processed(); got != int64(half) {
+		t.Fatalf("Processed mid-stream = %d, want %d", got, half)
 	}
 	eng.ProcessEdges(edges[half:])
 
@@ -199,8 +199,8 @@ func TestEngineMidStreamQueries(t *testing.T) {
 	// both consistencies: the final published epoch is the full stream.
 	eng.Close()
 	eng.Close()
-	if got := eng.EdgesProcessed(); got != int64(len(edges)) {
-		t.Fatalf("EdgesProcessed after Close = %d, want %d", got, len(edges))
+	if got := eng.Processed(); got != int64(len(edges)) {
+		t.Fatalf("Processed after Close = %d, want %d", got, len(edges))
 	}
 	if _, err := eng.Result(); err != nil {
 		t.Fatalf("Result after Close: %v", err)
@@ -368,8 +368,8 @@ func TestTurnstileEngine(t *testing.T) {
 			t.Fatalf("witness (%d, %d) is not a live edge of the final graph", nb.A, w)
 		}
 	}
-	if got := eng.UpdatesProcessed(); got != int64(len(ups)) {
-		t.Fatalf("UpdatesProcessed = %d, want %d", got, len(ups))
+	if got := eng.Processed(); got != int64(len(ups)) {
+		t.Fatalf("Processed = %d, want %d", got, len(ups))
 	}
 	if eng.SpaceWords() <= 0 {
 		t.Fatal("SpaceWords must be positive")

@@ -248,7 +248,7 @@ func TestEngineValidatesUniverse(t *testing.T) {
 	if !errors.Is(err, ErrOutOfUniverse) {
 		t.Fatalf("ProcessEdges with a negative id = %v, want ErrOutOfUniverse", err)
 	}
-	if got := eng.EdgesProcessed(); got != 0 {
+	if got := eng.Processed(); got != 0 {
 		t.Fatalf("rejected batch fed %d edges, want 0", got)
 	}
 	// The engine remains fully usable afterwards.
@@ -288,7 +288,7 @@ func TestTurnstileEngineValidatesUniverse(t *testing.T) {
 	if err := eng.ProcessUpdates(bad); !errors.Is(err, ErrInvalidOp) {
 		t.Errorf("ProcessUpdates with bad op = %v, want ErrInvalidOp", err)
 	}
-	if got := eng.UpdatesProcessed(); got != 0 {
+	if got := eng.Processed(); got != 0 {
 		t.Fatalf("rejected updates fed %d elements, want 0", got)
 	}
 	// Close converts further feeding into ErrClosed, not a panic.

@@ -88,5 +88,5 @@ func main() {
 			nb.A, nb.Size(), src, slot)
 	}
 	fmt.Printf("\n%d victims reported, %d edges ingested, %d words of state across %d shards\n",
-		len(results), eng.EdgesProcessed(), eng.SpaceWords(), eng.Shards())
+		len(results), eng.Processed(), eng.SpaceWords(), eng.Shards())
 }

@@ -1,14 +1,18 @@
 // The generic sharded runtime.  Engine (insertion-only), TurnstileEngine
 // (insertion-deletion), StarEngine (star detection) and WindowEngine
-// (sliding-window) are thin façades
-// over the one implementation in this file: the per-item residue
-// partition, the fanout/queue/batch machinery (shard.go), the published
-// core.View epochs with their fresh-barrier rendezvous, Drain/Close/
-// Flush, the QueueDepths/ViewEpochs/Usage instrumentation, and the
-// FEWWENG1 snapshot container.  A façade contributes exactly three
-// things: boundary validation for its element type, the per-shard
-// algorithm (a shardAlgo implementation from internal/core), and its
-// query-merge selection rules where they differ from the default.
+// (sliding-window) are thin façades over the one implementation in this
+// file: the per-item residue partition, the fanout/queue/batch machinery
+// (shard.go), the published core.View epochs with their fresh-barrier
+// rendezvous, Drain/Close/Flush, the QueueDepths/ViewEpochs/Usage
+// instrumentation, and the FEWWENG1 snapshot container.
+//
+// The layer above is written once too (engine.go): every façade embeds
+// engineBase, which carries the lifecycle, instrumentation and Snapshot
+// methods, and one constructor (build) and one FEWWENG1 decoder (restore)
+// serve every kind, driven by its engineKind descriptor: kind byte and
+// header field list, shard open function, assembly step.  A façade
+// contributes its boundary validation, its per-shard algorithm, and its
+// query-merge rules where they differ from the default.
 //
 // The parameterisation is deliberately small.  shardAlgo is the whole
 // contract between the runtime and an algorithm: a batched mutation
@@ -102,13 +106,17 @@ type engineRuntime[E any] struct {
 
 // newRuntime assembles shards around the given algorithm instances —
 // freshly built by a façade constructor, or restored from a snapshot —
-// and starts the shard workers.  item extracts an element's global item
-// id (the routing key); setItem rewrites it, which is how batches are
-// remapped to shard-local ids in place before Apply.  Each shard's
+// and starts the shard workers.  count is the number of elements the
+// stream already holds (0, or a restored snapshot's count): it seeds the
+// position counter and every lane's admission sequence, so the first
+// reservation continues exactly where the snapshotted stream stopped.
+// item extracts an element's global item id (the routing key); setItem
+// rewrites it, which is how batches are remapped to shard-local ids in
+// place before Apply.  Each shard's
 // epoch-0 view is published before any worker starts, so the
 // barrier-free query path is valid from the first instant (and, after a
 // restore, already reflects the restored state).
-func newRuntime[E any](name string, batchSize, queueDepth, headerBytes int,
+func newRuntime[E any](name string, batchSize, queueDepth, headerBytes int, count int64,
 	item func(E) int64, setItem func(*E, int64), algos []shardAlgo[E]) *engineRuntime[E] {
 	p := int64(len(algos))
 	shards := make([]*rtShard[E], len(algos))
@@ -132,34 +140,38 @@ func newRuntime[E any](name string, batchSize, queueDepth, headerBytes int,
 			sh.view.Store(&publishedView{View: sh.algo.View(), Epoch: sh.view.Load().Epoch + 1})
 		}
 	}
-	return &engineRuntime[E]{
-		shards:      shards,
-		f:           newFanout(name, batchSize, queueDepth, item, apply, publish),
-		headerBytes: headerBytes,
+	f := newFanout(name, batchSize, queueDepth, item, apply, publish)
+	f.count.Store(count)
+	for i := range f.lanes {
+		f.lanes[i].nextBase = count // no producer can hold the fanout yet
 	}
+	return &engineRuntime[E]{shards: shards, f: f, headerBytes: headerBytes}
 }
 
-// forEachView visits every shard's query view in shard order.  With
-// fresh false it reads the latest published epochs — no locking, no
-// stall, the default consistency.  With fresh true it takes the strict
-// barrier and reads each shard with the given accessor (QueryBest or
-// QueryResults) from quiescent state, so the visit reflects every
-// element fed before the call without paying the publication path's
-// size accounting inside the barrier.  Both paths hand
-// fn the same View shape, which is what makes published and fresh
-// answers coincide byte-for-byte on drained state.
-func (rt *engineRuntime[E]) forEachView(fresh bool, read func(shardAlgo[E]) core.View, fn func(sh *rtShard[E], v *core.View)) {
+// forEachView visits every shard's query view in shard order until fn
+// returns true.  With fresh false it reads the latest published epochs —
+// no locking, no stall, the default consistency.  With fresh true it
+// takes the strict barrier and reads each shard with the given accessor
+// (QueryBest or QueryResults) from quiescent state, so the visit reflects
+// every element fed before the call without paying the publication path's
+// size accounting inside the barrier.  Both paths hand fn the same View
+// shape, which is what makes published and fresh answers coincide
+// byte-for-byte on drained state.
+func (rt *engineRuntime[E]) forEachView(fresh bool, read func(shardAlgo[E]) core.View, fn func(sh *rtShard[E], v *core.View) (stop bool)) {
 	if fresh {
 		rt.f.query(func() {
 			for _, sh := range rt.shards {
-				v := read(sh.algo)
-				fn(sh, &v)
+				if v := read(sh.algo); fn(sh, &v) {
+					return
+				}
 			}
 		})
 		return
 	}
 	for _, sh := range rt.shards {
-		fn(sh, &sh.view.Load().View)
+		if fn(sh, &sh.view.Load().View) {
+			return
+		}
 	}
 }
 
@@ -170,26 +182,14 @@ func (rt *engineRuntime[E]) forEachView(fresh bool, read func(shardAlgo[E]) core
 // window must not grow with the shards behind the answer.
 func (rt *engineRuntime[E]) result(fresh bool) (Neighbourhood, error) {
 	nb, err := Neighbourhood{}, error(ErrNoWitness)
-	if fresh {
-		rt.f.query(func() {
-			for _, sh := range rt.shards {
-				if v := sh.algo.QueryResults(); len(v.Results) > 0 {
-					nb = v.Results[0]
-					nb.A = sh.global(nb.A)
-					err = nil
-					return
-				}
-			}
-		})
-		return nb, err
-	}
-	for _, sh := range rt.shards {
-		if v := sh.view.Load(); len(v.Results) > 0 {
-			nb = v.Results[0]
-			nb.A = sh.global(nb.A)
-			return nb, nil
+	rt.forEachView(fresh, shardAlgo[E].QueryResults, func(sh *rtShard[E], v *core.View) bool {
+		if len(v.Results) == 0 {
+			return false
 		}
-	}
+		nb, err = v.Results[0], nil
+		nb.A = sh.global(nb.A)
+		return true
+	})
 	return nb, err
 }
 
@@ -198,11 +198,12 @@ func (rt *engineRuntime[E]) result(fresh bool) (Neighbourhood, error) {
 // reported by two shards, so the merge is a pure concatenation.
 func (rt *engineRuntime[E]) results(fresh bool) []Neighbourhood {
 	var out []Neighbourhood
-	rt.forEachView(fresh, shardAlgo[E].QueryResults, func(sh *rtShard[E], v *core.View) {
+	rt.forEachView(fresh, shardAlgo[E].QueryResults, func(sh *rtShard[E], v *core.View) bool {
 		for _, nb := range v.Results {
 			nb.A = sh.global(nb.A)
 			out = append(out, nb)
 		}
+		return false
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].A < out[j].A })
 	return out
@@ -214,33 +215,15 @@ func (rt *engineRuntime[E]) results(fresh bool) []Neighbourhood {
 func (rt *engineRuntime[E]) best(fresh bool) (Neighbourhood, bool) {
 	var best Neighbourhood
 	found := false
-	rt.forEachView(fresh, shardAlgo[E].QueryBest, func(sh *rtShard[E], v *core.View) {
+	rt.forEachView(fresh, shardAlgo[E].QueryBest, func(sh *rtShard[E], v *core.View) bool {
 		if v.BestOK && (!found || v.Best.Size() > best.Size()) {
 			nb := v.Best
 			nb.A = sh.global(nb.A)
 			best, found = nb, true
 		}
+		return false
 	})
 	return best, found
-}
-
-// spaceWords sums the state size across shards.  QueryView skips the
-// size accounting, so the fresh path reads the algorithms directly
-// under the barrier.
-func (rt *engineRuntime[E]) spaceWords(fresh bool) int {
-	words := 0
-	if fresh {
-		rt.f.query(func() {
-			for _, sh := range rt.shards {
-				words += sh.algo.SpaceWords()
-			}
-		})
-		return words
-	}
-	for _, sh := range rt.shards {
-		words += sh.view.Load().SpaceWords
-	}
-	return words
 }
 
 // usage reports SpaceWords and SnapshotSize together: from the published
@@ -265,27 +248,13 @@ func (rt *engineRuntime[E]) usage(fresh bool) (spaceWords, snapshotBytes int) {
 	return spaceWords, snapshotBytes
 }
 
-// viewEpochs reports each shard's published epoch number — 0 before the
-// first publication, then incremented on every republication.
-func (rt *engineRuntime[E]) viewEpochs() []uint64 {
-	epochs := make([]uint64, len(rt.shards))
-	for i, sh := range rt.shards {
-		epochs[i] = sh.view.Load().Epoch
-	}
-	return epochs
-}
-
-// witnessTarget returns the shared per-shard target (identical on every
-// shard by construction).
-func (rt *engineRuntime[E]) witnessTarget() int64 { return rt.shards[0].algo.WitnessTarget() }
-
 // snapshot writes the FEWWENG1 container under the runtime's quiesce:
 // magic, the engine kind byte, the kind-specific header words, the
 // producer-side element counter, then every shard's length-prefixed
 // algorithm snapshot in shard order.  The queues are empty at the
 // instant of serialisation, so every element the engine accepted is
 // inside some shard's state.
-func (rt *engineRuntime[E]) snapshot(w io.Writer, kind byte, header []uint64) error {
+func (rt *engineRuntime[E]) snapshot(w io.Writer, kind byte, header []any) error {
 	var err error
 	rt.f.query(func() {
 		bw := bufio.NewWriter(w)
@@ -293,7 +262,7 @@ func (rt *engineRuntime[E]) snapshot(w io.Writer, kind byte, header []uint64) er
 		enc.bytes(engineSnapMagic[:])
 		enc.bytes([]byte{kind})
 		for _, h := range header {
-			enc.u64(h)
+			enc.field(h)
 		}
 		enc.u64(uint64(rt.f.count.Load()))
 		for _, sh := range rt.shards {

@@ -37,7 +37,7 @@ type Backend interface {
 	Ingest(ups []feww.Update) error
 	// Flush hands buffered updates to the shard queues without waiting,
 	// bounding how far the published epochs lag a completed request.
-	Flush()
+	Flush() error
 	// Best returns the largest neighbourhood collected so far (for the
 	// turnstile engine: the Result neighbourhood; for the star engine:
 	// the best star, rung-annotated).
@@ -47,28 +47,18 @@ type Backend interface {
 	Results(fresh bool) ResultsAnswer
 	// Processed returns the number of stream elements accepted.
 	Processed() int64
-	// Shards, QueueDepths, ViewEpochs, WitnessTarget and Usage feed the
-	// /stats endpoint; Usage reports space words and snapshot bytes (one
-	// quiesce when fresh, a few atomic loads when not).
+	// Shards returns the engine's partition count.
 	Shards() int
-	QueueDepths() []int
-	ViewEpochs() []uint64
-	WitnessTarget() int64
-	Usage(fresh bool) (spaceWords, snapshotBytes int)
-	// Universe reports the configured universe sizes: the item universe n
-	// and the witness universe m (0 for the insertion-only engine, whose
-	// witnesses are unbounded; the global vertex count for the star
-	// engine).  The /healthz endpoint reports both so a cluster gateway
-	// can verify a member's engine matches the range it is supposed to
-	// serve.
-	Universe() (n, m int64)
-	// Closed reports whether the engine has stopped accepting the stream
-	// (Close has run); queries stay valid either way.
-	Closed() bool
 	// Snapshot serialises the engine state; Restore* round-trips it.
 	Snapshot(w io.Writer) error
 	// Close drains and stops the engine; the backend stays queryable.
 	Close()
+
+	// health and stats are the engine's part of the /healthz and /stats
+	// payloads; stats reads the published epochs, or quiesces once when
+	// fresh.
+	health() HealthResponse
+	stats(fresh bool) StatsResponse
 }
 
 // BestAnswer is a backend's /best reply.  WitnessTarget is the target
@@ -93,285 +83,233 @@ type ResultsAnswer struct {
 	Guess          int64
 }
 
-// engineOps is the surface every engine façade shares, courtesy of the
-// generic runtime; commonBackend adapts it once so the per-kind backends
-// carry only the methods that genuinely differ (kind, ingest validation,
-// and the query merge shape).
-type engineOps interface {
+// engine is the surface every engine façade shares through its base type.
+type engine interface {
 	Flush() error
+	Processed() int64
 	Shards() int
 	QueueDepths() []int
 	ViewEpochs() []uint64
 	WitnessTarget() int64
-	Usage() (int, int)
-	UsageFresh() (int, int)
+	Usage() (spaceWords, snapshotBytes int)
+	UsageFresh() (spaceWords, snapshotBytes int)
 	Closed() bool
 	Snapshot(w io.Writer) error
 	Close()
 }
 
-type commonBackend struct {
-	ops engineOps
+// backend is the one Backend implementation: an engine's shared surface
+// plus the few parts that differ per kind.
+type backend struct {
+	engine
+	kind string
+	// n and m are the universe sizes /healthz reports for the gateway's
+	// range check; m is 0 where witnesses are unbounded.
+	n, m        int64
+	ingest      func(ups []feww.Update) error
+	best        func(fresh bool) BestAnswer    // shapes the kind's /best
+	results     func(fresh bool) ResultsAnswer // shapes the kind's /results
+	healthExtra func(h *HealthResponse)        // optional /healthz fields
+	statsExtra  func(st *StatsResponse)        // optional /stats fields
 }
 
-func (b commonBackend) Flush()                     { b.ops.Flush() }
-func (b commonBackend) Shards() int                { return b.ops.Shards() }
-func (b commonBackend) QueueDepths() []int         { return b.ops.QueueDepths() }
-func (b commonBackend) ViewEpochs() []uint64       { return b.ops.ViewEpochs() }
-func (b commonBackend) WitnessTarget() int64       { return b.ops.WitnessTarget() }
-func (b commonBackend) Closed() bool               { return b.ops.Closed() }
-func (b commonBackend) Snapshot(w io.Writer) error { return b.ops.Snapshot(w) }
-func (b commonBackend) Close()                     { b.ops.Close() }
-func (b commonBackend) Usage(fresh bool) (int, int) {
-	if fresh {
-		return b.ops.UsageFresh()
+func (b *backend) Kind() string                     { return b.kind }
+func (b *backend) Ingest(ups []feww.Update) error   { return b.ingest(ups) }
+func (b *backend) Best(fresh bool) BestAnswer       { return b.best(fresh) }
+func (b *backend) Results(fresh bool) ResultsAnswer { return b.results(fresh) }
+
+func (b *backend) health() HealthResponse {
+	h := HealthResponse{
+		Engine:        b.kind,
+		Serving:       !b.Closed(),
+		N:             b.n,
+		M:             b.m,
+		WitnessTarget: b.WitnessTarget(),
+		Shards:        b.Shards(),
+		Elements:      b.Processed(),
 	}
-	return b.ops.Usage()
+	if b.healthExtra != nil {
+		b.healthExtra(&h)
+	}
+	return h
+}
+
+func (b *backend) stats(fresh bool) StatsResponse {
+	st := StatsResponse{
+		Engine:        b.kind,
+		Consistency:   pick(fresh, "published", "fresh"),
+		Shards:        b.Shards(),
+		Elements:      b.Processed(),
+		QueueDepths:   b.QueueDepths(),
+		ViewEpochs:    b.ViewEpochs(),
+		WitnessTarget: b.WitnessTarget(),
+	}
+	st.SpaceWords, st.SnapshotBytes = pick(fresh, b.Usage, b.UsageFresh)()
+	if b.statsExtra != nil {
+		b.statsExtra(&st)
+	}
+	return st
+}
+
+// pick selects the published or the fresh variant of an engine query.
+func pick[F any](fresh bool, published, freshVariant F) F {
+	if fresh {
+		return freshVariant
+	}
+	return published
 }
 
 // NewInsertOnlyBackend wraps a sharded insertion-only engine.
 func NewInsertOnlyBackend(e *feww.Engine) Backend {
-	return &insertBackend{commonBackend{e}, e}
+	return flatBackend(e, "insert-only", e.Config().N, insertIngest("insertion-only engine", e.ProcessEdges))
 }
 
-// NewTurnstileBackend wraps a sharded insertion-deletion engine.
+// NewTurnstileBackend wraps a sharded insertion-deletion engine.  Ingest
+// delegates validation entirely to the engine boundary: ops, items, and
+// witnesses are all checked there before anything is fed.  Best is the
+// engine's Result: the L0-sampler queries only certify neighbourhoods
+// once they reach the witness target, so there is no meaningful "largest
+// partial" to report.
 func NewTurnstileBackend(e *feww.TurnstileEngine) Backend {
-	return &turnstileBackend{commonBackend{e}, e}
+	result := func(fresh bool) (feww.Neighbourhood, error) { return pick(fresh, e.Result, e.ResultFresh)() }
+	return &backend{
+		engine: e,
+		kind:   "turnstile",
+		n:      e.Config().N,
+		m:      e.Config().M,
+		ingest: e.ProcessUpdates,
+		best: func(fresh bool) BestAnswer {
+			nb, err := result(fresh)
+			return BestAnswer{Neighbourhood: nb, Found: err == nil, WitnessTarget: e.WitnessTarget(), Rung: -1}
+		},
+		results: func(fresh bool) ResultsAnswer {
+			out := ResultsAnswer{Rung: -1}
+			if nb, err := result(fresh); err == nil {
+				out.Neighbourhoods = []feww.Neighbourhood{nb}
+			}
+			return out
+		},
+	}
 }
 
-// NewStarBackend wraps a sharded star-detection engine.
+// NewStarBackend wraps a sharded star-detection engine.  It ingests the
+// double cover as directed half-edges, so a gateway can range-route it by
+// center; /healthz reports the ladder length, on which cluster members
+// must agree for their rung indices to merge.
 func NewStarBackend(e *feww.StarEngine) Backend {
-	return &starBackend{commonBackend{e}, e}
+	return &backend{
+		engine: e,
+		kind:   "star",
+		n:      e.Config().N,
+		m:      e.Config().M,
+		ingest: insertIngest("star engine", e.ProcessHalfEdges),
+		best: func(fresh bool) BestAnswer {
+			sr, ok := pick(fresh, e.Best, e.BestFresh)()
+			if !ok {
+				return BestAnswer{WitnessTarget: e.WitnessTarget(), Rung: -1}
+			}
+			return BestAnswer{Neighbourhood: sr.Neighbourhood, Found: true, WitnessTarget: sr.Target, Rung: sr.Rung, Guess: sr.Guess}
+		},
+		results: func(fresh bool) ResultsAnswer {
+			res := pick(fresh, e.Results, e.ResultsFresh)()
+			return ResultsAnswer{Neighbourhoods: res.Neighbourhoods, Rung: res.Rung, Guess: res.Guess}
+		},
+		healthExtra: func(h *HealthResponse) { h.Rungs = len(e.Guesses()) },
+	}
 }
 
-// NewWindowBackend wraps a sharded sliding-window engine.
+// NewWindowBackend wraps a sharded sliding-window engine (a window
+// forgets by aging out, so deletions are rejected).  /healthz reports the
+// geometry members must share to compose one global window; /stats adds
+// the served span.
 func NewWindowBackend(e *feww.WindowEngine) Backend {
-	return &windowBackend{commonBackend{e}, e}
-}
-
-type insertBackend struct {
-	commonBackend
-	e *feww.Engine
-}
-
-func (b *insertBackend) Kind() string { return "insert-only" }
-
-func (b *insertBackend) Ingest(ups []feww.Update) error {
-	// The op check lives here (the edge type the engine feeds on has no
-	// sign); universe validation is the engine's own boundary check, so a
-	// hostile id can never reach the shard router no matter who calls.
-	edges, err := insertEdges(ups, "insertion-only engine")
-	if err != nil {
-		return err
+	b := flatBackend(e, "window", e.Config().N, insertIngest("sliding-window engine", e.ProcessEdges))
+	b.healthExtra = func(h *HealthResponse) { h.Window, h.WindowBuckets = e.Window(), e.Buckets() }
+	b.statsExtra = func(st *StatsResponse) {
+		st.Window, st.WindowBuckets = e.Window(), e.Buckets()
+		st.WindowStart, st.WindowEnd = e.WindowSpan()
 	}
-	err = b.e.ProcessEdges(*edges)
-	putEdgeBuf(edges)
-	return err
+	return b
 }
 
-func (b *insertBackend) Best(fresh bool) BestAnswer {
-	var (
-		nb feww.Neighbourhood
-		ok bool
-	)
-	if fresh {
-		nb, ok = b.e.BestFresh()
-	} else {
-		nb, ok = b.e.Best()
-	}
-	return BestAnswer{Neighbourhood: nb, Found: ok, WitnessTarget: b.e.WitnessTarget(), Rung: -1}
+// flatEngine is the query surface of the flat kinds, Engine and
+// WindowEngine.
+type flatEngine interface {
+	engine
+	Best() (feww.Neighbourhood, bool)
+	BestFresh() (feww.Neighbourhood, bool)
+	Results() []feww.Neighbourhood
+	ResultsFresh() []feww.Neighbourhood
 }
 
-func (b *insertBackend) Results(fresh bool) ResultsAnswer {
-	if fresh {
-		return ResultsAnswer{Neighbourhoods: b.e.ResultsFresh(), Rung: -1}
-	}
-	return ResultsAnswer{Neighbourhoods: b.e.Results(), Rung: -1}
-}
-
-func (b *insertBackend) Processed() int64         { return b.e.EdgesProcessed() }
-func (b *insertBackend) Universe() (int64, int64) { return b.e.Config().N, 0 }
-
-type turnstileBackend struct {
-	commonBackend
-	e *feww.TurnstileEngine
-}
-
-func (b *turnstileBackend) Kind() string { return "turnstile" }
-
-// Ingest delegates validation entirely to the engine boundary: ops,
-// items, and witnesses are all checked there before anything is fed.
-func (b *turnstileBackend) Ingest(ups []feww.Update) error {
-	return b.e.ProcessUpdates(ups)
-}
-
-// Best for the turnstile engine is its Result: the L0-sampler queries
-// only certify neighbourhoods once they reach the witness target, so
-// there is no meaningful "largest partial" to report.
-func (b *turnstileBackend) Best(fresh bool) BestAnswer {
-	nb, err := b.result(fresh)
-	return BestAnswer{Neighbourhood: nb, Found: err == nil, WitnessTarget: b.e.WitnessTarget(), Rung: -1}
-}
-
-func (b *turnstileBackend) Results(fresh bool) ResultsAnswer {
-	out := ResultsAnswer{Rung: -1}
-	if nb, err := b.result(fresh); err == nil {
-		out.Neighbourhoods = []feww.Neighbourhood{nb}
-	}
-	return out
-}
-
-func (b *turnstileBackend) result(fresh bool) (feww.Neighbourhood, error) {
-	if fresh {
-		return b.e.ResultFresh()
-	}
-	return b.e.Result()
-}
-
-func (b *turnstileBackend) Processed() int64         { return b.e.UpdatesProcessed() }
-func (b *turnstileBackend) Universe() (int64, int64) { return b.e.Config().N, b.e.Config().M }
-
-type starBackend struct {
-	commonBackend
-	e *feww.StarEngine
-}
-
-func (b *starBackend) Kind() string { return "star" }
-
-// Ingest feeds directed half-edges: the stream carries the double cover
-// (both orientations of every undirected edge), so a cluster gateway can
-// range-route it by center like any other stream.  Deletions are
-// rejected here, as for the insert-only engine.
-func (b *starBackend) Ingest(ups []feww.Update) error {
-	edges, err := insertEdges(ups, "star engine")
-	if err != nil {
-		return err
-	}
-	err = b.e.ProcessHalfEdges(*edges)
-	putEdgeBuf(edges)
-	return err
-}
-
-func (b *starBackend) Best(fresh bool) BestAnswer {
-	var (
-		sr feww.StarResult
-		ok bool
-	)
-	if fresh {
-		sr, ok = b.e.BestFresh()
-	} else {
-		sr, ok = b.e.Best()
-	}
-	if !ok {
-		return BestAnswer{WitnessTarget: b.e.WitnessTarget(), Rung: -1}
-	}
-	return BestAnswer{
-		Neighbourhood: sr.Neighbourhood,
-		Found:         true,
-		WitnessTarget: sr.Target,
-		Rung:          sr.Rung,
-		Guess:         sr.Guess,
+// flatBackend shapes a flat kind's answers: Best against the static
+// ceil(D/Alpha) target, Results as reported, no rung annotation.
+func flatBackend(e flatEngine, kind string, n int64, ingest func([]feww.Update) error) *backend {
+	return &backend{
+		engine: e,
+		kind:   kind,
+		n:      n,
+		ingest: ingest,
+		best: func(fresh bool) BestAnswer {
+			nb, ok := pick(fresh, e.Best, e.BestFresh)()
+			return BestAnswer{Neighbourhood: nb, Found: ok, WitnessTarget: e.WitnessTarget(), Rung: -1}
+		},
+		results: func(fresh bool) ResultsAnswer {
+			return ResultsAnswer{Neighbourhoods: pick(fresh, e.Results, e.ResultsFresh)(), Rung: -1}
+		},
 	}
 }
 
-func (b *starBackend) Results(fresh bool) ResultsAnswer {
-	var res feww.StarResults
-	if fresh {
-		res = b.e.ResultsFresh()
-	} else {
-		res = b.e.Results()
-	}
-	return ResultsAnswer{Neighbourhoods: res.Neighbourhoods, Rung: res.Rung, Guess: res.Guess}
-}
-
-func (b *starBackend) Processed() int64         { return b.e.EdgesProcessed() }
-func (b *starBackend) Universe() (int64, int64) { return b.e.Config().N, b.e.Config().M }
-
-// Rungs reports the ladder length for the health probe; cluster members
-// must agree on it for their rung indices to merge.
-func (b *starBackend) Rungs() int { return len(b.e.Guesses()) }
-
-type windowBackend struct {
-	commonBackend
-	e *feww.WindowEngine
-}
-
-func (b *windowBackend) Kind() string { return "window" }
-
-// Ingest feeds the window engine like the insert-only one: deletions are
-// rejected here (a sliding window forgets by aging out, not by explicit
-// removal), and the engine's own boundary check guards the universe.
-func (b *windowBackend) Ingest(ups []feww.Update) error {
-	edges, err := insertEdges(ups, "sliding-window engine")
-	if err != nil {
-		return err
-	}
-	err = b.e.ProcessEdges(*edges)
-	putEdgeBuf(edges)
-	return err
-}
-
-func (b *windowBackend) Best(fresh bool) BestAnswer {
-	var (
-		nb feww.Neighbourhood
-		ok bool
-	)
-	if fresh {
-		nb, ok = b.e.BestFresh()
-	} else {
-		nb, ok = b.e.Best()
-	}
-	return BestAnswer{Neighbourhood: nb, Found: ok, WitnessTarget: b.e.WitnessTarget(), Rung: -1}
-}
-
-func (b *windowBackend) Results(fresh bool) ResultsAnswer {
-	if fresh {
-		return ResultsAnswer{Neighbourhoods: b.e.ResultsFresh(), Rung: -1}
-	}
-	return ResultsAnswer{Neighbourhoods: b.e.Results(), Rung: -1}
-}
-
-func (b *windowBackend) Processed() int64         { return b.e.EdgesProcessed() }
-func (b *windowBackend) Universe() (int64, int64) { return b.e.Config().N, 0 }
-
-// Window, WindowBuckets and WindowSpan surface the window geometry and
-// position for the health probe and /stats (the windowProbe interface);
-// cluster members must agree on the geometry for member windows to
-// compose into one coherent global window.
-func (b *windowBackend) Window() int64              { return b.e.Window() }
-func (b *windowBackend) WindowBuckets() int64       { return b.e.Buckets() }
-func (b *windowBackend) WindowSpan() (int64, int64) { return b.e.WindowSpan() }
-
-// edgeBufPool recycles the []Edge conversion buffers of the insert-only
-// and star ingest paths (mirroring the *[]E batch recycling inside the
-// engine fanout), so a sustained ingest stream stops allocating a batch-
-// sized slice per request chunk.  The engines copy batches into their own
-// per-shard buffers before ProcessEdges/ProcessHalfEdges returns, which
-// is what makes returning the buffer immediately afterwards safe.
+// edgeBufPool recycles the []Edge conversion buffers of the insert-only,
+// star and window ingest paths (mirroring the *[]E batch recycling inside
+// the engine fanout), so a sustained ingest stream stops allocating a
+// batch-sized slice per request chunk.  The engines copy batches into
+// their own per-shard buffers before ProcessEdges/ProcessHalfEdges
+// returns, which is what makes returning the buffer immediately
+// afterwards safe.
 var edgeBufPool = sync.Pool{New: func() any { buf := make([]feww.Edge, 0, 4096); return &buf }}
 
-func putEdgeBuf(buf *[]feww.Edge) {
-	*buf = (*buf)[:0]
-	edgeBufPool.Put(buf)
+// insertIngest is the ingest path of a kind that feeds on unsigned edges.
+// The op check lives here (the edge type the engine feeds on has no
+// sign), rejecting deletions with a pointer at the turnstile mode;
+// universe validation is the engine's own boundary check, so a hostile id
+// can never reach the shard router no matter who calls.
+func insertIngest(engine string, process func([]feww.Edge) error) func([]feww.Update) error {
+	return func(ups []feww.Update) error {
+		for i, u := range ups {
+			if u.Op != feww.Insert {
+				return fmt.Errorf("update %d of %d: %v: %s cannot apply deletions (run the service in turnstile mode)", i, len(ups), u, engine)
+			}
+		}
+		bufp := edgeBufPool.Get().(*[]feww.Edge)
+		edges := (*bufp)[:0]
+		for _, u := range ups {
+			edges = append(edges, u.Edge)
+		}
+		err := process(edges)
+		*bufp = edges[:0]
+		edgeBufPool.Put(bufp)
+		return err
+	}
 }
 
-// insertEdges strips the op sign off an insertion-only batch, rejecting
-// deletions with a pointer at the turnstile mode.  The returned buffer
-// comes from edgeBufPool; the caller hands it back with putEdgeBuf once
-// the engine has consumed it.
-func insertEdges(ups []feww.Update, engine string) (*[]feww.Edge, error) {
-	for i, u := range ups {
-		if u.Op != feww.Insert {
-			return nil, fmt.Errorf("update %d of %d: %v: %s cannot apply deletions (run the service in turnstile mode)", i, len(ups), u, engine)
+// restorers holds, at each FEWWENG1 kind byte, that kind's restore
+// wrapped into its backend.
+var restorers = [...]func(io.Reader) (Backend, error){
+	restoreAs(feww.RestoreEngine, NewInsertOnlyBackend),
+	restoreAs(feww.RestoreTurnstileEngine, NewTurnstileBackend),
+	restoreAs(feww.RestoreStarEngine, NewStarBackend),
+	restoreAs(feww.RestoreWindowEngine, NewWindowBackend),
+}
+
+func restoreAs[E any](restore func(io.Reader) (E, error), wrap func(E) Backend) func(io.Reader) (Backend, error) {
+	return func(r io.Reader) (Backend, error) {
+		e, err := restore(r)
+		if err != nil {
+			return nil, err
 		}
+		return wrap(e), nil
 	}
-	bufp := edgeBufPool.Get().(*[]feww.Edge)
-	edges := (*bufp)[:0]
-	for _, u := range ups {
-		edges = append(edges, u.Edge)
-	}
-	*bufp = edges
-	return bufp, nil
 }
 
 // RestoreBackend reads an engine snapshot — a checkpoint file, or the
@@ -384,30 +322,8 @@ func RestoreBackend(r io.Reader) (Backend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading engine snapshot header: %v", feww.ErrBadSnapshot, err)
 	}
-	switch head[8] {
-	case 1: // turnstile kind byte
-		e, err := feww.RestoreTurnstileEngine(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewTurnstileBackend(e), nil
-	case 2: // star kind byte
-		e, err := feww.RestoreStarEngine(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewStarBackend(e), nil
-	case 3: // window kind byte
-		e, err := feww.RestoreWindowEngine(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewWindowBackend(e), nil
-	default:
-		e, err := feww.RestoreEngine(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewInsertOnlyBackend(e), nil
+	if int(head[8]) >= len(restorers) {
+		return nil, fmt.Errorf("%w: unknown engine kind %d", feww.ErrBadSnapshot, head[8])
 	}
+	return restorers[head[8]](br)
 }

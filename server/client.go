@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -205,90 +206,53 @@ func (c *Client) ingest(makeBody func() io.Reader) (IngestResponse, error) {
 
 // Best fetches /best: the published (barrier-free) consistency, which may
 // lag the accepted stream by the in-flight batches.
-func (c *Client) Best() (BestResponse, error) {
-	var out BestResponse
-	return out, c.getJSON("/best", &out)
-}
+func (c *Client) Best() (BestResponse, error) { return getJSON[BestResponse](c, "/best") }
 
 // BestFresh fetches /best?fresh=1: the strict barrier consistency, exact
 // with respect to every update accepted before the request.
-func (c *Client) BestFresh() (BestResponse, error) {
-	var out BestResponse
-	return out, c.getJSON("/best?fresh=1", &out)
-}
+func (c *Client) BestFresh() (BestResponse, error) { return getJSON[BestResponse](c, "/best?fresh=1") }
 
 // Results fetches /results (published consistency).
 func (c *Client) Results() ([]NeighbourhoodJSON, error) {
-	var out []NeighbourhoodJSON
-	return out, c.getJSON("/results", &out)
+	return getJSON[[]NeighbourhoodJSON](c, "/results")
 }
 
 // ResultsFresh fetches /results?fresh=1 (barrier consistency).
 func (c *Client) ResultsFresh() ([]NeighbourhoodJSON, error) {
-	var out []NeighbourhoodJSON
-	return out, c.getJSON("/results?fresh=1", &out)
+	return getJSON[[]NeighbourhoodJSON](c, "/results?fresh=1")
 }
 
 // Stats fetches /stats (published consistency).
-func (c *Client) Stats() (StatsResponse, error) {
-	var out StatsResponse
-	return out, c.getJSON("/stats", &out)
-}
+func (c *Client) Stats() (StatsResponse, error) { return getJSON[StatsResponse](c, "/stats") }
 
 // StatsFresh fetches /stats?fresh=1 (barrier consistency).
 func (c *Client) StatsFresh() (StatsResponse, error) {
-	var out StatsResponse
-	return out, c.getJSON("/stats?fresh=1", &out)
+	return getJSON[StatsResponse](c, "/stats?fresh=1")
 }
 
 // Health fetches /healthz.  The response decodes on HTTP 200 (serving)
 // and 503 (draining: Serving false) alike; any other status is an error.
 // It is the readiness probe a cluster gateway polls for each member.
 func (c *Client) Health() (HealthResponse, error) {
-	resp, err := c.do(http.MethodGet, "/healthz", "", true, nil)
-	if err != nil {
-		return HealthResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return HealthResponse{}, fmt.Errorf("GET /healthz: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-	}
 	var out HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return HealthResponse{}, fmt.Errorf("healthz: decoding response (HTTP %d): %w", resp.StatusCode, err)
-	}
-	return out, nil
+	return out, c.callJSON(http.MethodGet, "/healthz", nil, &out, http.StatusServiceUnavailable)
 }
 
 // Checkpoint asks the server to write its configured checkpoint file.
 func (c *Client) Checkpoint() (CheckpointResponse, error) {
-	resp, err := c.do(http.MethodPost, "/checkpoint", "", true, nil)
-	if err != nil {
-		return CheckpointResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return CheckpointResponse{}, fmt.Errorf("checkpoint failed (HTTP %d): %s", resp.StatusCode, bytes.TrimSpace(msg))
-	}
 	var out CheckpointResponse
-	return out, json.NewDecoder(resp.Body).Decode(&out)
+	return out, c.callJSON(http.MethodPost, "/checkpoint", nil, &out)
 }
 
 // Snapshot streams /snapshot into w and returns the byte count — the
 // engine's memory state crossing the network, as in the paper's one-way
 // protocols.
 func (c *Client) Snapshot(w io.Writer) (int64, error) {
-	resp, err := c.do(http.MethodGet, "/snapshot", "", true, nil)
+	resp, err := c.call(http.MethodGet, "/snapshot", nil)
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return 0, fmt.Errorf("snapshot failed (HTTP %d): %s", resp.StatusCode, bytes.TrimSpace(msg))
-	}
 	return io.Copy(w, resp.Body)
 }
 
@@ -297,18 +261,8 @@ func (c *Client) Snapshot(w io.Writer) (int64, error) {
 // rebalance.  It returns the server's post-restore health, which carries
 // the restored engine's kind and universe for verification.
 func (c *Client) Restore(snapshot []byte) (HealthResponse, error) {
-	resp, err := c.do(http.MethodPost, "/restore", "application/octet-stream", true,
-		func() io.Reader { return bytes.NewReader(snapshot) })
-	if err != nil {
-		return HealthResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return HealthResponse{}, fmt.Errorf("restore failed (HTTP %d): %s", resp.StatusCode, bytes.TrimSpace(msg))
-	}
 	var out HealthResponse
-	return out, json.NewDecoder(resp.Body).Decode(&out)
+	return out, c.callJSON(http.MethodPost, "/restore", func() io.Reader { return bytes.NewReader(snapshot) }, &out)
 }
 
 // ShipSnapshot copies this server's engine state into dst: GET
@@ -332,15 +286,40 @@ func (c *Client) ShipSnapshot(dst *Client) (HealthResponse, int64, error) {
 	return h, size, nil
 }
 
-func (c *Client) getJSON(path string, v any) error {
-	resp, err := c.do(http.MethodGet, path, "", true, nil)
+func getJSON[T any](c *Client, path string) (T, error) {
+	var out T
+	return out, c.callJSON(http.MethodGet, path, nil, &out)
+}
+
+// call issues an idempotent request (a body, if any, is sent as
+// application/octet-stream) and turns any status but 200 and the extra
+// accepted ones into an error quoting the start of the response body.
+func (c *Client) call(method, path string, makeBody func() io.Reader, accept ...int) (*http.Response, error) {
+	contentType := ""
+	if makeBody != nil {
+		contentType = "application/octet-stream"
+	}
+	resp, err := c.do(method, path, contentType, true, makeBody)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK && !slices.Contains(accept, resp.StatusCode) {
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return nil, fmt.Errorf("%s %s: HTTP %d: %s", method, path, resp.StatusCode, bytes.TrimSpace(msg))
+	}
+	return resp, nil
+}
+
+// callJSON is call plus decoding the JSON reply into v.
+func (c *Client) callJSON(method, path string, makeBody func() io.Reader, v any, accept ...int) error {
+	resp, err := c.call(method, path, makeBody, accept...)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("GET %s: HTTP %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("%s %s: decoding response (HTTP %d): %w", method, path, resp.StatusCode, err)
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return nil
 }

@@ -101,10 +101,8 @@ func TestRestoreBackendAllKinds(t *testing.T) {
 			if restored.Processed() != be.Processed() {
 				t.Fatalf("restored processed %d, want %d", restored.Processed(), be.Processed())
 			}
-			n1, m1 := be.Universe()
-			n2, m2 := restored.Universe()
-			if n1 != n2 || m1 != m2 {
-				t.Fatalf("restored universe (%d, %d), want (%d, %d)", n2, m2, n1, m1)
+			if h1, h2 := be.health(), restored.health(); h1.N != h2.N || h1.M != h2.M {
+				t.Fatalf("restored universe (%d, %d), want (%d, %d)", h2.N, h2.M, h1.N, h1.M)
 			}
 
 			for _, b := range []Backend{be, restored} {

@@ -127,9 +127,6 @@ func (s *Server) Backend() Backend {
 	return s.backend
 }
 
-// be is the internal alias the handlers use.
-func (s *Server) be() Backend { return s.Backend() }
-
 // swapBackend installs a restored backend and returns the previous one.
 func (s *Server) swapBackend(b Backend) Backend {
 	s.beMu.Lock()
@@ -155,7 +152,7 @@ func (s *Server) Checkpoint() (int64, error) {
 		return 0, err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := s.be().Snapshot(tmp); err != nil {
+	if err := s.Backend().Snapshot(tmp); err != nil {
 		tmp.Close()
 		return 0, err
 	}
@@ -198,14 +195,10 @@ type NeighbourhoodJSON struct {
 	Rung      *int    `json:"rung,omitempty"`
 }
 
-func toJSON(nb feww.Neighbourhood) NeighbourhoodJSON {
-	return NeighbourhoodJSON{Vertex: nb.A, Size: nb.Size(), Witnesses: nb.Witnesses}
-}
-
-// rungJSON annotates a neighbourhood with its star ladder rung; rung < 0
-// (a flat engine's answer) leaves the field absent.
+// rungJSON encodes a neighbourhood annotated with its star ladder rung;
+// rung < 0 (a flat engine's answer) leaves the field absent.
 func rungJSON(nb feww.Neighbourhood, rung int) NeighbourhoodJSON {
-	j := toJSON(nb)
+	j := NeighbourhoodJSON{Vertex: nb.A, Size: nb.Size(), Witnesses: nb.Witnesses}
 	if rung >= 0 {
 		r := rung
 		j.Rung = &r
@@ -264,15 +257,6 @@ type StatsResponse struct {
 	WindowEnd     int64 `json:"window_end,omitempty"`
 }
 
-// windowProbe is the optional surface a sliding-window backend exposes on
-// top of Backend: the configured geometry and the live span.  /stats and
-// /healthz report it when present, exactly as the star backend's Rungs.
-type windowProbe interface {
-	Window() int64
-	WindowBuckets() int64
-	WindowSpan() (start, end int64)
-}
-
 // CheckpointResponse is the /checkpoint payload.
 type CheckpointResponse struct {
 	Path  string `json:"path"`
@@ -282,7 +266,7 @@ type CheckpointResponse struct {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// The backend is pinned once per request: a concurrent /restore swap
 	// must not split one request's chunks across two engines.
-	be := s.be()
+	be := s.Backend()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	// The frame scanner accepts one stream *or* several complete streams
 	// concatenated back to back (all declaring the same universe) — the
@@ -363,7 +347,7 @@ func wantFresh(r *http.Request) bool {
 }
 
 func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
-	ans := s.be().Best(wantFresh(r))
+	ans := s.Backend().Best(wantFresh(r))
 	resp := BestResponse{WitnessTarget: ans.WitnessTarget, Guess: ans.Guess}
 	if ans.Found {
 		j := rungJSON(ans.Neighbourhood, ans.Rung)
@@ -373,7 +357,7 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	ans := s.be().Results(wantFresh(r))
+	ans := s.Backend().Results(wantFresh(r))
 	out := make([]NeighbourhoodJSON, len(ans.Neighbourhoods))
 	for i, nb := range ans.Neighbourhoods {
 		out[i] = rungJSON(nb, ans.Rung)
@@ -382,31 +366,9 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	be := s.be()
-	fresh := wantFresh(r)
-	consistency := "published"
-	if fresh {
-		consistency = "fresh"
-	}
-	spaceWords, snapshotBytes := be.Usage(fresh)
-	resp := StatsResponse{
-		Engine:          be.Kind(),
-		Consistency:     consistency,
-		Shards:          be.Shards(),
-		Elements:        be.Processed(),
-		QueueDepths:     be.QueueDepths(),
-		ViewEpochs:      be.ViewEpochs(),
-		SpaceWords:      spaceWords,
-		SnapshotBytes:   snapshotBytes,
-		WitnessTarget:   be.WitnessTarget(),
-		UptimeSeconds:   time.Since(s.start).Seconds(),
-		Checkpoints:     s.ckptCount.Load(),
-		CheckpointBytes: s.ckptBytes.Load(),
-	}
-	if wb, ok := be.(windowProbe); ok {
-		resp.Window, resp.WindowBuckets = wb.Window(), wb.WindowBuckets()
-		resp.WindowStart, resp.WindowEnd = wb.WindowSpan()
-	}
+	resp := s.Backend().stats(wantFresh(r))
+	resp.UptimeSeconds = time.Since(s.start).Seconds()
+	resp.Checkpoints, resp.CheckpointBytes = s.ckptCount.Load(), s.ckptBytes.Load()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -437,24 +399,8 @@ type HealthResponse struct {
 }
 
 func (s *Server) healthResponse() HealthResponse {
-	be := s.be()
-	n, m := be.Universe()
-	h := HealthResponse{
-		Service:       "fewwd",
-		Engine:        be.Kind(),
-		Serving:       !be.Closed(),
-		N:             n,
-		M:             m,
-		WitnessTarget: be.WitnessTarget(),
-		Shards:        be.Shards(),
-		Elements:      be.Processed(),
-	}
-	if sb, ok := be.(interface{ Rungs() int }); ok {
-		h.Rungs = sb.Rungs()
-	}
-	if wb, ok := be.(windowProbe); ok {
-		h.Window, h.WindowBuckets = wb.Window(), wb.WindowBuckets()
-	}
+	h := s.Backend().health()
+	h.Service = "fewwd"
 	return h
 }
 
@@ -518,7 +464,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// serialisation failure can still become a clean 500 instead of an
 	// aborted chunked stream.
 	var buf bytes.Buffer
-	if err := s.be().Snapshot(&buf); err != nil {
+	if err := s.Backend().Snapshot(&buf); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -530,7 +476,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{
 		"service":          "fewwd",
-		"engine":           s.be().Kind(),
+		"engine":           s.Backend().Kind(),
 		"POST /ingest":     "FEWW binary stream body",
 		"GET /best":        "largest witnessed neighbourhood (?fresh=1 for barrier consistency)",
 		"GET /results":     "all full-target neighbourhoods (?fresh=1 for barrier consistency)",

@@ -149,10 +149,11 @@ type fanout[E any] struct {
 	// stamp, when set, is called during the lock-free partition phase for
 	// every accepted element with its 0-based reserved stream position —
 	// how the window engine attaches arrival positions without a second
-	// pass.  reserve, when set, is called once per reservation with the
-	// base position and length, before any element of the range is
-	// stamped or routed — how the window engine advances its clock so a
-	// worker never applies a position the clock has not covered.
+	// pass.  It runs after routing, so it must not change the item id.
+	// reserve, when set, is called once per reservation with the base
+	// position and length, before any element of the range is stamped or
+	// routed — how the window engine advances its clock so a worker never
+	// applies a position the clock has not covered.
 	// publishOnAck makes workers republish at every barrier even when
 	// they applied nothing since the last publication: an engine whose
 	// views depend on global stream progress (the window engine's clock
@@ -289,50 +290,21 @@ func (f *fanout[E]) run(i int) {
 	}
 }
 
-// add routes one element; addBatch routes a slice (copying it into the
-// per-shard fill buffers, so the caller keeps ownership).  Full buffers
-// are handed to the owning worker.  Both return ErrClosed — without
-// feeding anything — once close has run, so a server draining towards
-// shutdown can turn an in-flight ingest into a clean error instead of a
-// panic.
+// add routes one element: a one-element addBatch over a stack array, so
+// single-element feeds take the one admission path.
 func (f *fanout[E]) add(el E) error {
-	f.gate.RLock()
-	defer f.gate.RUnlock()
-	if f.closed.Load() {
-		return ErrClosed
-	}
-	pos := f.count.Add(1) - 1
-	if f.reserve != nil {
-		f.reserve(pos, 1)
-	}
-	if f.stamp != nil {
-		f.stamp(&el, pos)
-	}
-	target := int(f.item(el) % int64(len(f.chans)))
-	// A one-element reservation still walks every lane: admission order
-	// is positional, so a lane skipped here would never admit the next
-	// producer's sub-batch.
-	for i := range f.lanes {
-		ln := &f.lanes[i]
-		ln.mu.Lock()
-		for ln.nextBase != pos {
-			ln.seq.Wait()
-		}
-		if i == target {
-			*ln.pending = append(*ln.pending, el)
-			if len(*ln.pending) >= f.batchSize {
-				if batch := ln.take(f); batch != nil {
-					f.chans[i] <- msg[E]{batch: batch}
-				}
-			}
-		}
-		ln.nextBase = pos + 1
-		ln.mu.Unlock()
-		ln.seq.Broadcast()
-	}
-	return nil
+	one := [1]E{el}
+	return f.addBatch(one[:])
 }
 
+// addBatch routes a slice (copying it into the per-shard fill buffers, so
+// the caller keeps ownership).  Full buffers are handed to the owning
+// worker.  It returns ErrClosed — without feeding anything — once close
+// has run, so a server draining towards shutdown can turn an in-flight
+// ingest into a clean error instead of a panic.  A reservation walks
+// every lane, even one it routes nothing to: admission order is
+// positional, so a lane skipped here would never admit the next
+// producer's sub-batch.
 func (f *fanout[E]) addBatch(els []E) error {
 	if len(els) == 0 {
 		if f.closed.Load() {
@@ -356,21 +328,22 @@ func (f *fanout[E]) addBatch(els []E) error {
 	sc := f.newScratch()
 	p := int64(len(f.chans))
 	if f.stamp == nil {
-		// Kept as a separate loop: taking el's address for stamping (below)
-		// makes the element addressable and costs every iteration a stack
-		// spill, which is measurable at full ingest rate on the engines
-		// that never stamp.
+		// Kept as a separate loop so the engines that never stamp pay
+		// nothing per element for the hook.
 		for _, el := range els {
 			i := int(f.item(el) % p)
 			sc.subs[i] = append(sc.subs[i], el)
 		}
 	} else {
 		for j, el := range els {
-			// el is this iteration's copy: the caller's slice is never
-			// written to, it keeps ownership as documented.
-			f.stamp(&el, base+int64(j))
+			// The stamp lands on the scratch copy: the caller's slice is
+			// never written to, it keeps ownership as documented.  Taking
+			// the loop variable's address instead would move it to the
+			// heap, one allocation per element.
 			i := int(f.item(el) % p)
-			sc.subs[i] = append(sc.subs[i], el)
+			sub := append(sc.subs[i], el)
+			f.stamp(&sub[len(sub)-1], base+int64(j))
+			sc.subs[i] = sub
 		}
 	}
 	// Phase 2: admit each sub-batch under its lane's sequence, ticket
@@ -532,20 +505,6 @@ func (f *fanout[E]) close() {
 // atomic load, so liveness checks never contend with ingest.
 func (f *fanout[E]) isClosed() bool {
 	return f.closed.Load()
-}
-
-// restoreCount seeds the position counter and every lane's admission
-// sequence after a snapshot restore, so the first post-restore
-// reservation continues exactly where the snapshotted stream stopped.
-// It must run before the fanout is shared with any producer.
-func (f *fanout[E]) restoreCount(count int64) {
-	f.count.Store(count)
-	for i := range f.lanes {
-		ln := &f.lanes[i]
-		ln.mu.Lock()
-		ln.nextBase = count
-		ln.mu.Unlock()
-	}
 }
 
 // queueDepths samples the number of elements buffered per shard — both

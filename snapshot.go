@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"feww/internal/core"
-	"feww/internal/xrand"
 )
 
 // Engine-level checkpointing composes the per-shard core snapshots into
@@ -19,15 +16,16 @@ import (
 // itself is the generic runtime's (runtime.go): a snapshot is taken after
 // an internal barrier, so the queues are empty at the instant of
 // serialisation and nothing in flight can be lost — every element the
-// engine accepted is inside some shard's state.  This file contributes
-// the kind-specific headers and their decode/validate halves.
+// engine accepted is inside some shard's state.  Snapshot and restore here
+// both walk the kind's one header field list (engineKind.header).
 //
 // Layout (all fixed-width fields little-endian uint64 unless noted):
 //
 //	magic   [8]byte "FEWWENG1"
 //	kind    byte    0 = insertion-only Engine, 1 = TurnstileEngine,
 //	                2 = StarEngine, 3 = WindowEngine
-//	header  kind-specific configuration + element count (see below)
+//	header  kind-specific configuration (the codec's field list), then
+//	        the element count
 //	shards  Shards times: byte length, then that shard's core snapshot
 var engineSnapMagic = [8]byte{'F', 'E', 'W', 'W', 'E', 'N', 'G', '1'}
 
@@ -36,199 +34,68 @@ const (
 	engineKindTurnstile  = 1
 	engineKindStar       = 2
 	engineKindWindow     = 3
-
-	// Container header sizes: magic + kind byte + the fixed uint64 fields
-	// each Snapshot writes before the per-shard payloads.  Usage and
-	// UsageFresh must agree with Snapshot on these.
-	engineSnapHeaderBytes    = 8 + 1 + 9*8
-	turnstileSnapHeaderBytes = 8 + 1 + 11*8
-	starSnapHeaderBytes      = 8 + 1 + 10*8
-	windowSnapHeaderBytes    = 8 + 1 + 11*8
 )
 
 // Snapshot writes the engine's complete state to w: resolved
 // configuration, the ingest counter, and every shard's core snapshot.
 // The engine quiesces first (flush + barrier), so the snapshot reflects
-// exactly the edges fed before the call; concurrent producers block until
-// serialisation finishes.  Restoring with RestoreEngine and feeding the
-// same stream suffix reproduces the uninterrupted run exactly.
-func (e *Engine) Snapshot(w io.Writer) error {
-	return e.rt.snapshot(w, engineKindInsertOnly, []uint64{
-		uint64(e.cfg.N),
-		uint64(e.cfg.D),
-		uint64(e.cfg.Alpha),
-		e.cfg.Seed,
-		math.Float64bits(e.cfg.ScaleFactor),
-		uint64(e.cfg.Shards),
-		uint64(e.cfg.BatchSize),
-		uint64(e.cfg.QueueDepth),
-	})
+// exactly the elements fed before the call; concurrent producers block
+// until serialisation finishes.  Restoring with the kind's Restore
+// function and feeding the same stream suffix reproduces the
+// uninterrupted run exactly.
+func (b *engineBase[C, E]) Snapshot(w io.Writer) error {
+	return b.rt.snapshot(w, b.kind, b.header(&b.cfg))
 }
 
 // SnapshotSize returns the exact byte length Snapshot would write, under
 // the same quiesce Snapshot itself takes.
-func (e *Engine) SnapshotSize() int {
-	_, size := e.UsageFresh()
+func (b *engineBase[C, E]) SnapshotSize() int {
+	_, size := b.UsageFresh()
 	return size
 }
-
-// UsageFresh reports SpaceWords and SnapshotSize together under a single
-// quiesce — exact at the barrier, at the cost of stalling ingest once.
-// Periodic stats polls should prefer the barrier-free Usage.
-func (e *Engine) UsageFresh() (spaceWords, snapshotBytes int) { return e.rt.usage(true) }
 
 // RestoreEngine reads a snapshot written by (*Engine).Snapshot and returns
 // a running engine that continues exactly where the snapshotted one
 // stopped, including its shard partitioning and batch/queue tuning.  It
 // fails with ErrBadSnapshot if the bytes hold another engine kind's
-// snapshot (use RestoreTurnstileEngine / RestoreStarEngine) or are
-// corrupt.
-func RestoreEngine(r io.Reader) (*Engine, error) {
-	br := bufio.NewReader(r)
-	kind, err := readEngineSnapKind(br)
-	if err != nil {
-		return nil, err
-	}
-	if kind != engineKindInsertOnly {
-		return nil, fmt.Errorf("%w: snapshot holds engine kind %d, not an insertion-only Engine", ErrBadSnapshot, kind)
-	}
-	dec := &wordDecoder{r: br}
-	cfg := EngineConfig{
-		Config: Config{
-			N:     int64(dec.u64()),
-			D:     int64(dec.u64()),
-			Alpha: int(dec.u64()),
-			Seed:  dec.u64(),
-		},
-	}
-	cfg.ScaleFactor = math.Float64frombits(dec.u64())
-	cfg.Shards = int(dec.u64())
-	cfg.BatchSize = int(dec.u64())
-	cfg.QueueDepth = int(dec.u64())
-	count := int64(dec.u64())
-	if dec.err != nil {
-		return nil, dec.err
-	}
-	if err := validateEngineSnapHeader(cfg.N, cfg.Shards, cfg.BatchSize, cfg.QueueDepth, count); err != nil {
-		return nil, err
-	}
-	p := int64(cfg.Shards)
-	seeds := xrand.New(cfg.Seed)
-	inners := make([]*core.InsertOnly, cfg.Shards)
-	for i := range inners {
-		if inners[i], err = restoreShard(dec, core.RestoreInsertOnly, i); err != nil {
-			return nil, err
-		}
-		// The shard snapshot carries its own config; it must be exactly
-		// what NewEngine would derive from the container's, or the
-		// local/global id mapping (and the universe checks above the
-		// engine) are wrong for this shard.
-		if got, want := inners[i].Config(), cfg.shardConfig(i, p, seeds.Uint64()); got != want {
-			return nil, fmt.Errorf("%w: shard %d config %+v does not match container derivation %+v",
-				ErrBadSnapshot, i, got, want)
-		}
-	}
-	eng := newEngineFromInners(cfg, inners)
-	eng.rt.f.restoreCount(count)
-	return eng, nil
-}
-
-// Snapshot writes the turnstile engine's complete state to w; the same
-// quiescing and exactness guarantees as (*Engine).Snapshot apply.
-func (e *TurnstileEngine) Snapshot(w io.Writer) error {
-	return e.rt.snapshot(w, engineKindTurnstile, []uint64{
-		uint64(e.cfg.N),
-		uint64(e.cfg.M),
-		uint64(e.cfg.D),
-		uint64(e.cfg.Alpha),
-		e.cfg.Seed,
-		math.Float64bits(e.cfg.ScaleFactor),
-		uint64(e.cfg.MaxSamplers),
-		uint64(e.cfg.Shards),
-		uint64(e.cfg.BatchSize),
-		uint64(e.cfg.QueueDepth),
-	})
-}
-
-// SnapshotSize returns the exact byte length Snapshot would write, under
-// the same quiesce Snapshot itself takes.
-func (e *TurnstileEngine) SnapshotSize() int {
-	_, size := e.UsageFresh()
-	return size
-}
-
-// UsageFresh reports SpaceWords and SnapshotSize together under a single
-// quiesce; see (*Engine).UsageFresh.
-func (e *TurnstileEngine) UsageFresh() (spaceWords, snapshotBytes int) { return e.rt.usage(true) }
+// snapshot (use RestoreTurnstileEngine / RestoreStarEngine /
+// RestoreWindowEngine) or are corrupt.
+func RestoreEngine(r io.Reader) (*Engine, error) { return restore(r, insertOnlyKind) }
 
 // RestoreTurnstileEngine reads a snapshot written by
 // (*TurnstileEngine).Snapshot and returns a running engine that continues
 // exactly where the snapshotted one stopped.
-func RestoreTurnstileEngine(r io.Reader) (*TurnstileEngine, error) {
-	br := bufio.NewReader(r)
-	kind, err := readEngineSnapKind(br)
-	if err != nil {
-		return nil, err
-	}
-	if kind != engineKindTurnstile {
-		return nil, fmt.Errorf("%w: snapshot holds engine kind %d, not a TurnstileEngine", ErrBadSnapshot, kind)
-	}
-	dec := &wordDecoder{r: br}
-	cfg := TurnstileEngineConfig{
-		TurnstileConfig: TurnstileConfig{
-			N:     int64(dec.u64()),
-			M:     int64(dec.u64()),
-			D:     int64(dec.u64()),
-			Alpha: int(dec.u64()),
-			Seed:  dec.u64(),
-		},
-	}
-	cfg.ScaleFactor = math.Float64frombits(dec.u64())
-	cfg.MaxSamplers = int(dec.u64())
-	cfg.Shards = int(dec.u64())
-	cfg.BatchSize = int(dec.u64())
-	cfg.QueueDepth = int(dec.u64())
-	count := int64(dec.u64())
-	if dec.err != nil {
-		return nil, dec.err
-	}
-	if err := validateEngineSnapHeader(cfg.N, cfg.Shards, cfg.BatchSize, cfg.QueueDepth, count); err != nil {
-		return nil, err
-	}
-	p := int64(cfg.Shards)
-	seeds := xrand.New(cfg.Seed)
-	inners := make([]*core.InsertDelete, cfg.Shards)
-	for i := range inners {
-		if inners[i], err = restoreShard(dec, core.RestoreInsertDelete, i); err != nil {
-			return nil, err
-		}
-		if got, want := inners[i].Config(), cfg.shardConfig(i, p, seeds.Uint64()); got != want {
-			return nil, fmt.Errorf("%w: shard %d config %+v does not match container derivation %+v",
-				ErrBadSnapshot, i, got, want)
-		}
-	}
-	eng := newTurnstileFromInners(cfg, inners)
-	eng.rt.f.restoreCount(count)
-	return eng, nil
-}
+func RestoreTurnstileEngine(r io.Reader) (*TurnstileEngine, error) { return restore(r, turnstileKind) }
 
-// readEngineSnapKind consumes and checks the container magic, returning
-// the engine kind byte.
-func readEngineSnapKind(br *bufio.Reader) (byte, error) {
+// restore is the one FEWWENG1 decoder: magic and kind byte, k's header
+// fields and the count, validated before anything is allocated on their
+// behalf; build's assembly step checks the kind-specific fields.
+func restore[C engineConfig, E any, T engineFacade[C, E]](r io.Reader, k *engineKind[C, E, T]) (T, error) {
+	var zero T
+	br := bufio.NewReader(r)
 	var head [9]byte
 	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return zero, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	if [8]byte(head[:8]) != engineSnapMagic {
-		return 0, fmt.Errorf("%w: bad engine magic %q", ErrBadSnapshot, head[:8])
+		return zero, fmt.Errorf("%w: bad engine magic %q", ErrBadSnapshot, head[:8])
 	}
-	kind := head[8]
-	switch kind {
-	case engineKindInsertOnly, engineKindTurnstile, engineKindStar, engineKindWindow:
-	default:
-		return 0, fmt.Errorf("%w: unknown engine kind %d", ErrBadSnapshot, kind)
+	if head[8] != k.kind {
+		return zero, fmt.Errorf("%w: snapshot holds engine kind %d, not a %s (kind %d)", ErrBadSnapshot, head[8], k.name, k.kind)
 	}
-	return kind, nil
+	var cfg C
+	dec := &wordDecoder{r: br}
+	for _, f := range k.header(&cfg) {
+		dec.field(f)
+	}
+	count := int64(dec.u64())
+	if dec.err != nil {
+		return zero, dec.err
+	}
+	if err := validateEngineSnapHeader(cfg.dims(), count); err != nil {
+		return zero, err
+	}
+	return build(k, cfg, count, dec)
 }
 
 // Upper bounds a snapshot header may claim before any allocation is made
@@ -243,16 +110,16 @@ const (
 
 // validateEngineSnapHeader sanity-checks the decoded header before any
 // shard is reconstructed.
-func validateEngineSnapHeader(n int64, shards, batchSize, queueDepth int, count int64) error {
+func validateEngineSnapHeader(d engineDims, count int64) error {
 	switch {
-	case n < 1:
-		return fmt.Errorf("%w: N = %d", ErrBadSnapshot, n)
-	case shards < 1 || int64(shards) > n || shards > maxSnapShards:
-		return fmt.Errorf("%w: %d shards with N = %d", ErrBadSnapshot, shards, n)
-	case batchSize < 1 || batchSize > maxSnapBatchSize:
-		return fmt.Errorf("%w: batch size %d", ErrBadSnapshot, batchSize)
-	case queueDepth < 1 || queueDepth > maxSnapQueueDepth:
-		return fmt.Errorf("%w: queue depth %d", ErrBadSnapshot, queueDepth)
+	case d.n < 1:
+		return fmt.Errorf("%w: N = %d", ErrBadSnapshot, d.n)
+	case d.shards < 1 || int64(d.shards) > d.n || d.shards > maxSnapShards:
+		return fmt.Errorf("%w: %d shards with N = %d", ErrBadSnapshot, d.shards, d.n)
+	case d.batchSize < 1 || d.batchSize > maxSnapBatchSize:
+		return fmt.Errorf("%w: batch size %d", ErrBadSnapshot, d.batchSize)
+	case d.queueDepth < 1 || d.queueDepth > maxSnapQueueDepth:
+		return fmt.Errorf("%w: queue depth %d", ErrBadSnapshot, d.queueDepth)
 	case count < 0:
 		return fmt.Errorf("%w: element count %d", ErrBadSnapshot, count)
 	}
@@ -302,6 +169,20 @@ func (e *wordEncoder) u64(v uint64) {
 	e.bytes(e.buf[:])
 }
 
+// field writes one header field; see engineKind.header for the types.
+func (e *wordEncoder) field(p any) {
+	switch p := p.(type) {
+	case *int64:
+		e.u64(uint64(*p))
+	case *int:
+		e.u64(uint64(*p))
+	case *uint64:
+		e.u64(*p)
+	case *float64:
+		e.u64(math.Float64bits(*p))
+	}
+}
+
 type wordDecoder struct {
 	r   io.Reader
 	buf [8]byte
@@ -317,4 +198,19 @@ func (d *wordDecoder) u64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(d.buf[:])
+}
+
+// field reads one header field into the pointer wordEncoder.field wrote
+// it from.
+func (d *wordDecoder) field(p any) {
+	switch p := p.(type) {
+	case *int64:
+		*p = int64(d.u64())
+	case *int:
+		*p = int(d.u64())
+	case *uint64:
+		*p = d.u64()
+	case *float64:
+		*p = math.Float64frombits(d.u64())
+	}
 }

@@ -18,6 +18,18 @@ type StarConfig struct {
 	Seed uint64
 }
 
+// ladderDefaults applies the star ladder's defaults, shared by the
+// detectors and StarEngine: Eps 0.5 and a per-guess Alpha of 2.
+func ladderDefaults(eps float64, alpha int) (float64, int) {
+	if eps == 0 {
+		eps = 0.5
+	}
+	if alpha == 0 {
+		alpha = 2
+	}
+	return eps, alpha
+}
+
 // StarDetector solves Star Detection (paper Problem 2) on insertion-only
 // general graph streams: it outputs a vertex together with at least
 // Delta/((1+Eps)*Alpha) of its neighbours, where Delta is the maximum
@@ -31,14 +43,7 @@ type StarDetector struct {
 // NewStarDetector builds the (1+Eps) guess ladder, one insertion-only FEwW
 // run per guess.
 func NewStarDetector(cfg StarConfig) (*StarDetector, error) {
-	eps := cfg.Eps
-	if eps == 0 {
-		eps = 0.5
-	}
-	alpha := cfg.Alpha
-	if alpha == 0 {
-		alpha = 2
-	}
+	eps, alpha := ladderDefaults(cfg.Eps, cfg.Alpha)
 	seed := cfg.Seed
 	factory := func(d int64) (core.Algorithm, error) {
 		seed++
@@ -97,14 +102,7 @@ type TurnstileStarDetector struct {
 // NewTurnstileStarDetector builds the (1+Eps) guess ladder over
 // InsertDelete instances.
 func NewTurnstileStarDetector(cfg TurnstileStarConfig) (*TurnstileStarDetector, error) {
-	eps := cfg.Eps
-	if eps == 0 {
-		eps = 0.5
-	}
-	alpha := cfg.Alpha
-	if alpha == 0 {
-		alpha = 2
-	}
+	eps, alpha := ladderDefaults(cfg.Eps, cfg.Alpha)
 	maxSamplers := cfg.MaxSamplers
 	if maxSamplers == 0 {
 		maxSamplers = 1 << 22

@@ -27,14 +27,11 @@
 package feww
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"feww/internal/core"
-	"feww/internal/xrand"
 )
 
 // StarEngineConfig parameterises the sharded star-detection engine.
@@ -74,12 +71,7 @@ func (cfg *StarEngineConfig) resolve() error {
 	if cfg.M == 0 {
 		cfg.M = cfg.N
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 2
-	}
-	if cfg.Eps == 0 {
-		cfg.Eps = 0.5
-	}
+	cfg.Eps, cfg.Alpha = ladderDefaults(cfg.Eps, cfg.Alpha)
 	if cfg.Alpha < 1 {
 		return fmt.Errorf("feww: StarEngine config: Alpha = %d, want >= 1", cfg.Alpha)
 	}
@@ -92,16 +84,8 @@ func (cfg *StarEngineConfig) resolve() error {
 	return resolveShardParams("StarEngine", cfg.N, &cfg.Shards, &cfg.BatchSize, &cfg.QueueDepth)
 }
 
-// shardConfig derives shard i's StarShard configuration; snapshot restore
-// verifies shard snapshots against exactly this derivation.
-func (cfg *StarEngineConfig) shardConfig(i int, p int64, guesses []int64, seed uint64) core.StarShardConfig {
-	return core.StarShardConfig{
-		N:           shardUniverse(cfg.N, p, i),
-		Guesses:     guesses,
-		Alpha:       cfg.Alpha,
-		Seed:        seed,
-		ScaleFactor: cfg.ScaleFactor,
-	}
+func (c StarEngineConfig) dims() engineDims {
+	return engineDims{c.N, c.Seed, c.Shards, c.BatchSize, c.QueueDepth}
 }
 
 // StarResult is a star answer: a center vertex with a set of its genuine
@@ -134,11 +118,49 @@ type StarResults struct {
 // producers and queriers, deterministic under a fixed seed and single
 // producer, barrier-free published queries with Fresh variants, exact
 // Snapshot/Restore — inherited from the same implementation Engine and
-// TurnstileEngine run on.
+// TurnstileEngine run on.  Its Processed counts directed half-edges.
 type StarEngine struct {
-	cfg     StarEngineConfig
+	engineBase[StarEngineConfig, Edge]
 	guesses []int64
-	rt      *engineRuntime[Edge]
+}
+
+var starKind = &engineKind[StarEngineConfig, Edge, *StarEngine]{
+	name: "StarEngine",
+	kind: engineKindStar,
+	header: func(c *StarEngineConfig) []any {
+		return []any{&c.N, &c.M, &c.Alpha, &c.Eps, &c.Seed, &c.ScaleFactor, &c.Shards, &c.BatchSize, &c.QueueDepth}
+	},
+	item:    edgeItem,
+	setItem: setEdgeItem,
+	assemble: func(cfg StarEngineConfig, _ int64) (*StarEngine, error) {
+		if cfg.Alpha < 1 || cfg.Eps <= 0 || cfg.M < cfg.N {
+			return nil, fmt.Errorf("star header alpha %d eps %f m %d n %d", cfg.Alpha, cfg.Eps, cfg.M, cfg.N)
+		}
+		guesses, err := core.StarGuesses(cfg.M, cfg.Eps)
+		if err != nil {
+			return nil, fmt.Errorf("feww: StarEngine config: %w", err)
+		}
+		return &StarEngine{guesses: guesses}, nil
+	},
+	open: func(e *StarEngine, i int, p int64, seed uint64, r io.Reader) (shardAlgo[Edge], error) {
+		// Shard i holds the full ladder over its slice of the centers.
+		want := core.StarShardConfig{
+			N:           shardUniverse(e.cfg.N, p, i),
+			Guesses:     e.guesses,
+			Alpha:       e.cfg.Alpha,
+			Seed:        seed,
+			ScaleFactor: e.cfg.ScaleFactor,
+		}
+		if r == nil {
+			ss, err := core.NewStarShard(want)
+			return starAlgo{ss}, err
+		}
+		// RestoreStarShard cross-checks every rung snapshot against the
+		// derived ladder configuration, so no separate comparison is
+		// needed here.
+		ss, err := core.RestoreStarShard(r, want)
+		return starAlgo{ss}, err
+	},
 }
 
 // NewStarEngine constructs a sharded star engine and starts its shard
@@ -148,46 +170,14 @@ func NewStarEngine(cfg StarEngineConfig) (*StarEngine, error) {
 	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
-	guesses, err := core.StarGuesses(cfg.M, cfg.Eps)
-	if err != nil {
-		return nil, fmt.Errorf("feww: StarEngine config: %w", err)
-	}
-	p := int64(cfg.Shards)
-	seeds := xrand.New(cfg.Seed)
-	shards := make([]*core.StarShard, cfg.Shards)
-	for i := range shards {
-		ss, err := core.NewStarShard(cfg.shardConfig(i, p, guesses, seeds.Uint64()))
-		if err != nil {
-			return nil, fmt.Errorf("feww: StarEngine shard %d: %w", i, err)
-		}
-		shards[i] = ss
-	}
-	return newStarFromShards(cfg, guesses, shards), nil
+	return build(starKind, cfg, 0, nil)
 }
 
-// newStarFromShards assembles the engine around existing per-shard
-// ladders (fresh or restored) and starts the shard goroutines.
-func newStarFromShards(cfg StarEngineConfig, guesses []int64, shards []*core.StarShard) *StarEngine {
-	algos := make([]shardAlgo[Edge], len(shards))
-	for i, ss := range shards {
-		algos[i] = starAlgo{ss}
-	}
-	return &StarEngine{
-		cfg:     cfg,
-		guesses: guesses,
-		rt: newRuntime("StarEngine", cfg.BatchSize, cfg.QueueDepth, starSnapHeaderBytes,
-			func(e Edge) int64 { return e.A },
-			func(e *Edge, a int64) { e.A = a },
-			algos),
-	}
-}
-
-// Shards returns the number of partitions in use.
-func (e *StarEngine) Shards() int { return len(e.rt.shards) }
-
-// Config returns the resolved configuration the engine runs with; it is
-// also the configuration a snapshot persists.
-func (e *StarEngine) Config() StarEngineConfig { return e.cfg }
+// RestoreStarEngine reads a snapshot written by (*StarEngine).Snapshot
+// (FEWWENG1 kind byte 2) and returns a running engine that continues
+// exactly where the snapshotted one stopped, including its ladder, shard
+// partitioning and batch/queue tuning.
+func RestoreStarEngine(r io.Reader) (*StarEngine, error) { return restore(r, starKind) }
 
 // Guesses returns the (1+Eps) ladder, identical on every shard.
 func (e *StarEngine) Guesses() []int64 { return e.guesses }
@@ -195,12 +185,12 @@ func (e *StarEngine) Guesses() []int64 { return e.guesses }
 // checkHalfEdge validates one directed half-edge: the center must lie in
 // this engine's slice [0, N), the neighbour in the global vertex set
 // [0, M).
-func (e *StarEngine) checkHalfEdge(i, total int, a, b int64) error {
-	if a < 0 || a >= e.cfg.N {
-		return fmt.Errorf("%w: half-edge %d of %d: center %d not in [0, %d)", ErrOutOfUniverse, i, total, a, e.cfg.N)
+func (e *StarEngine) checkHalfEdge(i, total int, ed Edge) error {
+	if ed.A < 0 || ed.A >= e.cfg.N {
+		return fmt.Errorf("%w: half-edge %d of %d: center %d not in [0, %d)", ErrOutOfUniverse, i, total, ed.A, e.cfg.N)
 	}
-	if b < 0 || b >= e.cfg.M {
-		return fmt.Errorf("%w: half-edge %d of %d: neighbour %d not in [0, %d)", ErrOutOfUniverse, i, total, b, e.cfg.M)
+	if ed.B < 0 || ed.B >= e.cfg.M {
+		return fmt.Errorf("%w: half-edge %d of %d: neighbour %d not in [0, %d)", ErrOutOfUniverse, i, total, ed.B, e.cfg.M)
 	}
 	return nil
 }
@@ -211,23 +201,13 @@ func (e *StarEngine) checkHalfEdge(i, total int, a, b int64) error {
 // ProcessEdge to feed both at once on a full-universe engine.  Errors as
 // (*Engine).ProcessEdge.
 func (e *StarEngine) ProcessHalfEdge(a, b int64) error {
-	if err := e.checkHalfEdge(0, 1, a, b); err != nil {
-		return err
-	}
-	return e.rt.f.add(Edge{A: a, B: b})
+	return e.feedOne(Edge{A: a, B: b}, e.checkHalfEdge)
 }
 
 // ProcessHalfEdges feeds a batch of directed half-edges in order.  The
 // slice is copied into per-shard buffers; the caller keeps ownership.
 // The whole batch is validated first and rejected atomically.
-func (e *StarEngine) ProcessHalfEdges(edges []Edge) error {
-	for i, ed := range edges {
-		if err := e.checkHalfEdge(i, len(edges), ed.A, ed.B); err != nil {
-			return err
-		}
-	}
-	return e.rt.f.addBatch(edges)
-}
+func (e *StarEngine) ProcessHalfEdges(edges []Edge) error { return e.feed(edges, e.checkHalfEdge) }
 
 // ProcessEdge feeds one undirected edge {u, v} by feeding both
 // orientations — the convenience entry point for a full-universe engine
@@ -235,29 +215,9 @@ func (e *StarEngine) ProcessHalfEdges(edges []Edge) error {
 // center slice cannot be mirrored locally and the call errors; feed
 // pre-mirrored half-edges instead, as the cluster gateway does.
 func (e *StarEngine) ProcessEdge(u, v int64) error {
-	if err := e.checkHalfEdge(0, 2, u, v); err != nil {
-		return err
-	}
-	if err := e.checkHalfEdge(1, 2, v, u); err != nil {
-		return err
-	}
-	return e.rt.f.addBatch([]Edge{{A: u, B: v}, {A: v, B: u}})
+	pair := [2]Edge{{A: u, B: v}, {A: v, B: u}}
+	return e.feed(pair[:], e.checkHalfEdge)
 }
-
-// Flush hands every buffered half-edge to its shard queue without
-// waiting; see (*Engine).Flush.
-func (e *StarEngine) Flush() error { return e.rt.f.flush() }
-
-// Drain flushes and blocks until every shard has applied everything
-// queued so far; afterwards published and fresh queries coincide.
-func (e *StarEngine) Drain() error { return e.rt.f.drain() }
-
-// Close flushes, waits for the shards to drain, and stops them.  The
-// engine stays queryable; feeding returns ErrClosed.  Idempotent.
-func (e *StarEngine) Close() { e.rt.f.close() }
-
-// Closed reports whether Close has run; see (*Engine).Closed.
-func (e *StarEngine) Closed() bool { return e.rt.f.isClosed() }
 
 // starBetter reports whether (rung, size, vertex) beats the current best
 // under the star merge order: higher rung first, then larger
@@ -279,9 +239,9 @@ func starBetter(rung int, nb Neighbourhood, bestRung int, best Neighbourhood) bo
 func (e *StarEngine) best(fresh bool) (StarResult, bool) {
 	var out StarResult
 	found := false
-	e.rt.forEachView(fresh, shardAlgo[Edge].QueryBest, func(sh *rtShard[Edge], v *core.View) {
+	e.rt.forEachView(fresh, shardAlgo[Edge].QueryBest, func(sh *rtShard[Edge], v *core.View) bool {
 		if !v.BestOK {
-			return
+			return false
 		}
 		nb := v.Best
 		nb.A = sh.global(nb.A)
@@ -289,6 +249,7 @@ func (e *StarEngine) best(fresh bool) (StarResult, bool) {
 			out = StarResult{Neighbourhood: nb, Rung: v.Rung, Guess: v.Guess, Target: v.Target}
 			found = true
 		}
+		return false
 	})
 	return out, found
 }
@@ -312,9 +273,9 @@ func (e *StarEngine) resultsAt(fresh bool) StarResults {
 		v  core.View
 	}
 	var winners []shardView
-	e.rt.forEachView(fresh, shardAlgo[Edge].QueryResults, func(sh *rtShard[Edge], v *core.View) {
+	e.rt.forEachView(fresh, shardAlgo[Edge].QueryResults, func(sh *rtShard[Edge], v *core.View) bool {
 		if v.Rung < 0 {
-			return
+			return false
 		}
 		if v.Rung > out.Rung {
 			out.Rung, out.Guess, out.Target = v.Rung, v.Guess, v.Target
@@ -323,6 +284,7 @@ func (e *StarEngine) resultsAt(fresh bool) StarResults {
 		if v.Rung == out.Rung {
 			winners = append(winners, shardView{sh, *v})
 		}
+		return false
 	})
 	for _, w := range winners {
 		for _, nb := range w.v.Results {
@@ -344,117 +306,3 @@ func (e *StarEngine) Results() StarResults { return e.resultsAt(false) }
 
 // ResultsFresh is Results under the strict barrier.
 func (e *StarEngine) ResultsFresh() StarResults { return e.resultsAt(true) }
-
-// WitnessTarget returns the topmost rung's target — the static ceiling
-// ceil(maxGuess/Alpha) on any answer's certified size, identical on
-// every member of a cluster over the same graph (the coherence value the
-// health probe reports).  The target actually certified by an answer is
-// its StarResult.Target.
-func (e *StarEngine) WitnessTarget() int64 { return e.rt.witnessTarget() }
-
-// EdgesProcessed returns the number of directed half-edges fed to the
-// engine (two per undirected input edge).
-func (e *StarEngine) EdgesProcessed() int64 { return e.rt.f.count.Load() }
-
-// QueueDepths samples the number of elements buffered per shard (queued
-// batches plus the fill buffer); see (*Engine).QueueDepths.
-func (e *StarEngine) QueueDepths() []int { return e.rt.f.queueDepths() }
-
-// ViewEpochs reports each shard's published epoch number; see
-// (*Engine).ViewEpochs.
-func (e *StarEngine) ViewEpochs() []uint64 { return e.rt.viewEpochs() }
-
-// SpaceWords reports the state size summed over the latest published
-// epochs — every rung of every shard; barrier-free.
-func (e *StarEngine) SpaceWords() int { return e.rt.spaceWords(false) }
-
-// SpaceWordsFresh is SpaceWords under the strict barrier.
-func (e *StarEngine) SpaceWordsFresh() int { return e.rt.spaceWords(true) }
-
-// Usage reports SpaceWords and SnapshotSize from the latest published
-// epochs; see (*Engine).Usage.
-func (e *StarEngine) Usage() (spaceWords, snapshotBytes int) { return e.rt.usage(false) }
-
-// UsageFresh reports both under a single quiesce; see (*Engine).UsageFresh.
-func (e *StarEngine) UsageFresh() (spaceWords, snapshotBytes int) { return e.rt.usage(true) }
-
-// Snapshot writes the engine's complete state in the FEWWENG1 container
-// (kind byte 2); the same quiescing and exactness guarantees as
-// (*Engine).Snapshot apply.
-func (e *StarEngine) Snapshot(w io.Writer) error {
-	return e.rt.snapshot(w, engineKindStar, []uint64{
-		uint64(e.cfg.N),
-		uint64(e.cfg.M),
-		uint64(e.cfg.Alpha),
-		math.Float64bits(e.cfg.Eps),
-		e.cfg.Seed,
-		math.Float64bits(e.cfg.ScaleFactor),
-		uint64(e.cfg.Shards),
-		uint64(e.cfg.BatchSize),
-		uint64(e.cfg.QueueDepth),
-	})
-}
-
-// SnapshotSize returns the exact byte length Snapshot would write, under
-// the same quiesce Snapshot itself takes.
-func (e *StarEngine) SnapshotSize() int {
-	_, size := e.UsageFresh()
-	return size
-}
-
-// RestoreStarEngine reads a snapshot written by (*StarEngine).Snapshot
-// and returns a running engine that continues exactly where the
-// snapshotted one stopped, including its ladder, shard partitioning and
-// batch/queue tuning.
-func RestoreStarEngine(r io.Reader) (*StarEngine, error) {
-	br := bufio.NewReader(r)
-	kind, err := readEngineSnapKind(br)
-	if err != nil {
-		return nil, err
-	}
-	if kind != engineKindStar {
-		return nil, fmt.Errorf("%w: snapshot holds engine kind %d, not a StarEngine", ErrBadSnapshot, kind)
-	}
-	dec := &wordDecoder{r: br}
-	cfg := StarEngineConfig{
-		N:     int64(dec.u64()),
-		M:     int64(dec.u64()),
-		Alpha: int(dec.u64()),
-	}
-	cfg.Eps = math.Float64frombits(dec.u64())
-	cfg.Seed = dec.u64()
-	cfg.ScaleFactor = math.Float64frombits(dec.u64())
-	cfg.Shards = int(dec.u64())
-	cfg.BatchSize = int(dec.u64())
-	cfg.QueueDepth = int(dec.u64())
-	count := int64(dec.u64())
-	if dec.err != nil {
-		return nil, dec.err
-	}
-	if err := validateEngineSnapHeader(cfg.N, cfg.Shards, cfg.BatchSize, cfg.QueueDepth, count); err != nil {
-		return nil, err
-	}
-	if cfg.Alpha < 1 || cfg.Eps <= 0 || cfg.M < cfg.N {
-		return nil, fmt.Errorf("%w: star header alpha %d eps %f m %d n %d", ErrBadSnapshot, cfg.Alpha, cfg.Eps, cfg.M, cfg.N)
-	}
-	guesses, err := core.StarGuesses(cfg.M, cfg.Eps)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	p := int64(cfg.Shards)
-	seeds := xrand.New(cfg.Seed)
-	shards := make([]*core.StarShard, cfg.Shards)
-	for i := range shards {
-		want := cfg.shardConfig(i, p, guesses, seeds.Uint64())
-		// RestoreStarShard cross-checks every rung snapshot against the
-		// derived ladder configuration, so no separate comparison is
-		// needed here.
-		restore := func(r io.Reader) (*core.StarShard, error) { return core.RestoreStarShard(r, want) }
-		if shards[i], err = restoreShard(dec, restore, i); err != nil {
-			return nil, err
-		}
-	}
-	eng := newStarFromShards(cfg, guesses, shards)
-	eng.rt.f.restoreCount(count)
-	return eng, nil
-}

@@ -140,7 +140,7 @@ func TestStarEngineValidatesUniverse(t *testing.T) {
 	if err := eng.ProcessEdge(1, 12); !errors.Is(err, ErrOutOfUniverse) {
 		t.Errorf("undirected mirror outside the slice = %v, want ErrOutOfUniverse", err)
 	}
-	if got := eng.EdgesProcessed(); got != 0 {
+	if got := eng.Processed(); got != 0 {
 		t.Fatalf("rejected feeds reached the engine: %d half-edges", got)
 	}
 	eng.Close()
@@ -178,8 +178,8 @@ func TestStarEngineSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if restored.EdgesProcessed() != eng.EdgesProcessed() {
-		t.Fatalf("restored count %d != %d", restored.EdgesProcessed(), eng.EdgesProcessed())
+	if restored.Processed() != eng.Processed() {
+		t.Fatalf("restored count %d != %d", restored.Processed(), eng.Processed())
 	}
 	if !reflect.DeepEqual(restored.Config(), eng.Config()) {
 		t.Fatalf("restored config %+v != %+v", restored.Config(), eng.Config())

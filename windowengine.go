@@ -21,16 +21,13 @@
 package feww
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"feww/internal/core"
 	"feww/internal/stream"
-	"feww/internal/xrand"
 )
 
 // WindowEngineConfig parameterises the sharded sliding-window engine.
@@ -75,20 +72,8 @@ func (cfg *WindowEngineConfig) resolve() error {
 	return resolveShardParams("WindowEngine", cfg.N, &cfg.Shards, &cfg.BatchSize, &cfg.QueueDepth)
 }
 
-// shardConfig derives shard i's WindowShard configuration; snapshot
-// restore verifies shard snapshots against exactly this derivation.
-// Window and Buckets are global, not divided: positions are global
-// stream positions, so every shard ages against the same boundaries.
-func (cfg *WindowEngineConfig) shardConfig(i int, p int64, seed uint64) core.WindowShardConfig {
-	return core.WindowShardConfig{
-		N:           shardUniverse(cfg.N, p, i),
-		D:           cfg.D,
-		Alpha:       cfg.Alpha,
-		Window:      cfg.Window,
-		Buckets:     cfg.Buckets,
-		Seed:        seed,
-		ScaleFactor: cfg.ScaleFactor,
-	}
+func (c WindowEngineConfig) dims() engineDims {
+	return engineDims{c.N, c.Seed, c.Shards, c.BatchSize, c.QueueDepth}
 }
 
 // WindowEngine is the sharded, batched sliding-window engine.  It
@@ -96,11 +81,61 @@ func (cfg *WindowEngineConfig) shardConfig(i int, p int64, seed uint64) core.Win
 // concurrent producers and queriers, deterministic under a fixed seed
 // and single producer, barrier-free published queries with Fresh
 // variants, exact Snapshot/Restore — inherited from the same
-// implementation the other engine kinds run on.
+// implementation the other engine kinds run on.  Its queries answer over
+// the window only: no witness is ever older than Window updates.
 type WindowEngine struct {
-	cfg   WindowEngineConfig
+	flatQueries[WindowEngineConfig, core.WindowUpdate]
 	clock atomic.Int64 // accepted updates; the shards' shared age source
-	rt    *engineRuntime[core.WindowUpdate]
+}
+
+var windowKind = &engineKind[WindowEngineConfig, core.WindowUpdate, *WindowEngine]{
+	name: "WindowEngine",
+	kind: engineKindWindow,
+	// Bucket boundaries are global positions, so the container needs
+	// no extra geometry beyond Window, Buckets and the accepted count:
+	// each shard serialises its live suffix instances with their
+	// boundary labels, and restore re-derives everything else.
+	header: func(c *WindowEngineConfig) []any {
+		return []any{&c.N, &c.D, &c.Alpha, &c.Window, &c.Buckets, &c.Seed, &c.ScaleFactor,
+			&c.Shards, &c.BatchSize, &c.QueueDepth}
+	},
+	item:    func(u core.WindowUpdate) int64 { return u.A },
+	setItem: func(u *core.WindowUpdate, a int64) { u.A = a },
+	// The clock must be in place before any shard view is built: the
+	// runtime publishes each shard's epoch-0 view during construction,
+	// and those views judge instance liveness by the clock — a zero clock
+	// would misjudge every restored instance.
+	assemble: func(cfg WindowEngineConfig, count int64) (*WindowEngine, error) {
+		if cfg.Window < 1 || cfg.Buckets < 1 || cfg.Buckets > cfg.Window {
+			return nil, fmt.Errorf("window header W %d B %d", cfg.Window, cfg.Buckets)
+		}
+		e := new(WindowEngine)
+		e.clock.Store(count)
+		return e, nil
+	},
+	open: func(e *WindowEngine, i int, p int64, seed uint64, r io.Reader) (shardAlgo[core.WindowUpdate], error) {
+		// Window and Buckets are global, not divided: positions are global
+		// stream positions, so every shard ages against the same
+		// boundaries.
+		want := core.WindowShardConfig{
+			N:           shardUniverse(e.cfg.N, p, i),
+			D:           e.cfg.D,
+			Alpha:       e.cfg.Alpha,
+			Window:      e.cfg.Window,
+			Buckets:     e.cfg.Buckets,
+			Seed:        seed,
+			ScaleFactor: e.cfg.ScaleFactor,
+		}
+		if r == nil {
+			ws, err := core.NewWindowShard(want, e.clock.Load)
+			return windowAlgo{ws}, err
+		}
+		// RestoreWindowShard cross-checks every instance snapshot against
+		// the derived configuration, so no separate comparison is needed.
+		ws, err := core.RestoreWindowShard(r, want, e.clock.Load)
+		return windowAlgo{ws}, err
+	},
+	started: installWindowHooks,
 }
 
 // NewWindowEngine constructs a sharded window engine and starts its
@@ -111,35 +146,19 @@ func NewWindowEngine(cfg WindowEngineConfig) (*WindowEngine, error) {
 	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
-	eng := &WindowEngine{cfg: cfg}
-	p := int64(cfg.Shards)
-	seeds := xrand.New(cfg.Seed)
-	shards := make([]*core.WindowShard, cfg.Shards)
-	for i := range shards {
-		ws, err := core.NewWindowShard(cfg.shardConfig(i, p, seeds.Uint64()), eng.clock.Load)
-		if err != nil {
-			return nil, fmt.Errorf("feww: WindowEngine shard %d: %w", i, err)
-		}
-		shards[i] = ws
-	}
-	eng.start(shards)
-	return eng, nil
+	return build(windowKind, cfg, 0, nil)
 }
 
-// start assembles the runtime around existing shards (fresh or restored)
-// and installs the two window hooks.  The restore path must store the
-// clock (and only then call start): the runtime publishes each shard's
-// epoch-0 view during construction, and those views judge instance
-// liveness by the clock.
-func (e *WindowEngine) start(shards []*core.WindowShard) {
-	algos := make([]shardAlgo[core.WindowUpdate], len(shards))
-	for i, ws := range shards {
-		algos[i] = windowAlgo{ws}
-	}
-	e.rt = newRuntime("WindowEngine", e.cfg.BatchSize, e.cfg.QueueDepth, windowSnapHeaderBytes,
-		func(u core.WindowUpdate) int64 { return u.A },
-		func(u *core.WindowUpdate, a int64) { u.A = a },
-		algos)
+// RestoreWindowEngine reads a snapshot written by (*WindowEngine).Snapshot
+// (FEWWENG1 kind byte 3) and returns a running engine that continues
+// exactly where the snapshotted one stopped: same window geometry, same
+// bucket boundaries, same positions — the next accepted update is stamped
+// with the position after the last pre-snapshot one, so the restored
+// stream is indistinguishable from an uninterrupted run.
+func RestoreWindowEngine(r io.Reader) (*WindowEngine, error) { return restore(r, windowKind) }
+
+// installWindowHooks installs the two window hooks on a new runtime.
+func installWindowHooks(e *WindowEngine) {
 	// Positions are dense, unique and reservation-ordered, and the clock
 	// equals the accepted count.  The clock advances in the reserve hook —
 	// once per reservation, before any element of the range is stamped or
@@ -165,13 +184,6 @@ func (e *WindowEngine) start(shards []*core.WindowShard) {
 	e.rt.f.publishOnAck = true
 }
 
-// Shards returns the number of partitions in use.
-func (e *WindowEngine) Shards() int { return len(e.rt.shards) }
-
-// Config returns the resolved configuration the engine runs with; it is
-// also the configuration a snapshot persists.
-func (e *WindowEngine) Config() WindowEngineConfig { return e.cfg }
-
 // Window returns the configured window length W.
 func (e *WindowEngine) Window() int64 { return e.cfg.Window }
 
@@ -187,218 +199,35 @@ func (e *WindowEngine) WindowSpan() (start, end int64) {
 	return core.WindowStart(end, e.cfg.Window, e.cfg.Buckets), end
 }
 
-// checkEdge validates an edge against the engine's universe: the item in
-// [0, N), the witness non-negative (the witness space is unbounded, as
-// for the insertion-only Engine).
-func (e *WindowEngine) checkEdge(i, total int, a, b int64) error {
-	if a < 0 || a >= e.cfg.N {
-		return fmt.Errorf("%w: edge %d of %d: item %d not in [0, %d)", ErrOutOfUniverse, i, total, a, e.cfg.N)
-	}
-	if b < 0 {
-		return fmt.Errorf("%w: edge %d of %d: witness %d negative", ErrOutOfUniverse, i, total, b)
-	}
-	return nil
-}
-
 // ProcessEdge feeds one inserted edge (a, b).  The update occupies one
 // window position; what it displaces is whatever bucket falls out of the
 // window as the stream advances.  Errors as (*Engine).ProcessEdge.
 func (e *WindowEngine) ProcessEdge(a, b int64) error {
-	if err := e.checkEdge(0, 1, a, b); err != nil {
-		return err
-	}
-	return e.rt.f.add(core.WindowUpdate{Edge: stream.Edge{A: a, B: b}})
+	return e.feedOne(core.WindowUpdate{Edge: stream.Edge{A: a, B: b}}, e.check)
+}
+
+func (e *WindowEngine) check(i, total int, u core.WindowUpdate) error {
+	return checkEdge(i, total, u.Edge, e.cfg.N)
 }
 
 // windowBufPool recycles the []core.WindowUpdate conversion buffers of
 // ProcessEdges (as *[]T, so recycling does not re-box the slice header).
 // The fanout copies batches into per-shard buffers before returning, so
-// a buffer is safe to recycle as soon as addBatch returns.
-var windowBufPool sync.Pool
+// a buffer is safe to recycle as soon as the feed returns.
+var windowBufPool = sync.Pool{New: func() any { return new([]core.WindowUpdate) }}
 
 // ProcessEdges feeds a batch of inserted edges in order.  The slice is
-// validated whole, rejected atomically, converted into position-carrying
-// updates through a pooled buffer, and copied into per-shard buffers;
-// the caller keeps ownership.
+// converted into position-carrying updates through a pooled buffer,
+// validated whole, rejected atomically, and copied into per-shard
+// buffers; the caller keeps ownership.
 func (e *WindowEngine) ProcessEdges(edges []Edge) error {
-	for i, ed := range edges {
-		if err := e.checkEdge(i, len(edges), ed.A, ed.B); err != nil {
-			return err
-		}
-	}
-	var buf *[]core.WindowUpdate
-	if v := windowBufPool.Get(); v != nil {
-		buf = v.(*[]core.WindowUpdate)
-	} else {
-		buf = new([]core.WindowUpdate)
-	}
+	buf := windowBufPool.Get().(*[]core.WindowUpdate)
 	ups := (*buf)[:0]
 	for _, ed := range edges {
 		ups = append(ups, core.WindowUpdate{Edge: ed})
 	}
-	err := e.rt.f.addBatch(ups)
+	err := e.feed(ups, e.check)
 	*buf = ups[:0]
 	windowBufPool.Put(buf)
 	return err
-}
-
-// Flush hands every buffered update to its shard queue without waiting;
-// see (*Engine).Flush.
-func (e *WindowEngine) Flush() error { return e.rt.f.flush() }
-
-// Drain flushes and blocks until every shard has applied everything
-// queued so far; afterwards published and fresh queries coincide — the
-// barrier republication covers idle shards too.
-func (e *WindowEngine) Drain() error { return e.rt.f.drain() }
-
-// Close flushes, waits for the shards to drain, and stops them.  The
-// engine stays queryable; feeding returns ErrClosed.  Idempotent.
-func (e *WindowEngine) Close() { e.rt.f.close() }
-
-// Closed reports whether Close has run; see (*Engine).Closed.
-func (e *WindowEngine) Closed() bool { return e.rt.f.isClosed() }
-
-// Result returns the first in-window full-target neighbourhood in shard
-// order, or ErrNoWitness; see (*Engine).Result for the consistency
-// contract.
-func (e *WindowEngine) Result() (Neighbourhood, error) { return e.rt.result(false) }
-
-// ResultFresh is Result under the strict barrier.
-func (e *WindowEngine) ResultFresh() (Neighbourhood, error) { return e.rt.result(true) }
-
-// Results returns every item holding a full ceil(D/Alpha)-witness
-// in-window neighbourhood, sorted by item id, from the latest published
-// epochs.  Witnesses are never older than Window updates.
-func (e *WindowEngine) Results() []Neighbourhood { return e.rt.results(false) }
-
-// ResultsFresh is Results under the strict barrier.
-func (e *WindowEngine) ResultsFresh() []Neighbourhood { return e.rt.results(true) }
-
-// Best returns the largest in-window neighbourhood collected so far,
-// possibly below the witness target; found is false only if nothing
-// in-window is held at all.
-func (e *WindowEngine) Best() (Neighbourhood, bool) { return e.rt.best(false) }
-
-// BestFresh is Best under the strict barrier.
-func (e *WindowEngine) BestFresh() (Neighbourhood, bool) { return e.rt.best(true) }
-
-// WitnessTarget returns ceil(D/Alpha), identical on every shard.
-func (e *WindowEngine) WitnessTarget() int64 { return e.rt.witnessTarget() }
-
-// EdgesProcessed returns the number of updates accepted over the
-// engine's lifetime — the window's end position.
-func (e *WindowEngine) EdgesProcessed() int64 { return e.rt.f.count.Load() }
-
-// QueueDepths samples the number of elements buffered per shard (queued
-// batches plus the fill buffer); see (*Engine).QueueDepths.
-func (e *WindowEngine) QueueDepths() []int { return e.rt.f.queueDepths() }
-
-// ViewEpochs reports each shard's published epoch number; see
-// (*Engine).ViewEpochs.
-func (e *WindowEngine) ViewEpochs() []uint64 { return e.rt.viewEpochs() }
-
-// SpaceWords reports the state size summed over the latest published
-// epochs — every retained suffix instance of every shard.
-func (e *WindowEngine) SpaceWords() int { return e.rt.spaceWords(false) }
-
-// SpaceWordsFresh is SpaceWords under the strict barrier.
-func (e *WindowEngine) SpaceWordsFresh() int { return e.rt.spaceWords(true) }
-
-// Usage reports SpaceWords and SnapshotSize from the latest published
-// epochs; see (*Engine).Usage.
-func (e *WindowEngine) Usage() (spaceWords, snapshotBytes int) { return e.rt.usage(false) }
-
-// UsageFresh reports both under a single quiesce; see (*Engine).UsageFresh.
-func (e *WindowEngine) UsageFresh() (spaceWords, snapshotBytes int) { return e.rt.usage(true) }
-
-// Snapshot writes the engine's complete state in the FEWWENG1 container
-// (kind byte 3); the same quiescing and exactness guarantees as
-// (*Engine).Snapshot apply.  Bucket boundaries are global positions, so
-// the container needs no extra geometry beyond Window, Buckets and the
-// accepted count: each shard serialises its live suffix instances with
-// their boundary labels, and restore re-derives everything else.
-func (e *WindowEngine) Snapshot(w io.Writer) error {
-	return e.rt.snapshot(w, engineKindWindow, []uint64{
-		uint64(e.cfg.N),
-		uint64(e.cfg.D),
-		uint64(e.cfg.Alpha),
-		uint64(e.cfg.Window),
-		uint64(e.cfg.Buckets),
-		e.cfg.Seed,
-		math.Float64bits(e.cfg.ScaleFactor),
-		uint64(e.cfg.Shards),
-		uint64(e.cfg.BatchSize),
-		uint64(e.cfg.QueueDepth),
-	})
-}
-
-// SnapshotSize returns the exact byte length Snapshot would write, under
-// the same quiesce Snapshot itself takes.
-func (e *WindowEngine) SnapshotSize() int {
-	_, size := e.UsageFresh()
-	return size
-}
-
-// RestoreWindowEngine reads a snapshot written by (*WindowEngine).Snapshot
-// and returns a running engine that continues exactly where the
-// snapshotted one stopped: same window geometry, same bucket boundaries,
-// same positions — the next accepted update is stamped with the position
-// after the last pre-snapshot one, so the restored stream is
-// indistinguishable from an uninterrupted run.
-func RestoreWindowEngine(r io.Reader) (*WindowEngine, error) {
-	br := bufio.NewReader(r)
-	kind, err := readEngineSnapKind(br)
-	if err != nil {
-		return nil, err
-	}
-	if kind != engineKindWindow {
-		return nil, fmt.Errorf("%w: snapshot holds engine kind %d, not a WindowEngine", ErrBadSnapshot, kind)
-	}
-	dec := &wordDecoder{r: br}
-	cfg := WindowEngineConfig{
-		Config: Config{
-			N:     int64(dec.u64()),
-			D:     int64(dec.u64()),
-			Alpha: int(dec.u64()),
-		},
-		Window:  int64(dec.u64()),
-		Buckets: int64(dec.u64()),
-	}
-	cfg.Seed = dec.u64()
-	cfg.ScaleFactor = math.Float64frombits(dec.u64())
-	cfg.Shards = int(dec.u64())
-	cfg.BatchSize = int(dec.u64())
-	cfg.QueueDepth = int(dec.u64())
-	count := int64(dec.u64())
-	if dec.err != nil {
-		return nil, dec.err
-	}
-	if err := validateEngineSnapHeader(cfg.N, cfg.Shards, cfg.BatchSize, cfg.QueueDepth, count); err != nil {
-		return nil, err
-	}
-	if cfg.Window < 1 || cfg.Buckets < 1 || cfg.Buckets > cfg.Window {
-		return nil, fmt.Errorf("%w: window header W %d B %d", ErrBadSnapshot, cfg.Window, cfg.Buckets)
-	}
-	// The clock must be in place before any shard view is built: the
-	// runtime publishes epoch-0 views during start, and a zero clock
-	// would misjudge every restored instance's liveness.
-	eng := &WindowEngine{cfg: cfg}
-	eng.clock.Store(count)
-	p := int64(cfg.Shards)
-	seeds := xrand.New(cfg.Seed)
-	shards := make([]*core.WindowShard, cfg.Shards)
-	for i := range shards {
-		want := cfg.shardConfig(i, p, seeds.Uint64())
-		// RestoreWindowShard cross-checks every instance snapshot against
-		// the derived configuration, so no separate comparison is needed.
-		restore := func(r io.Reader) (*core.WindowShard, error) {
-			return core.RestoreWindowShard(r, want, eng.clock.Load)
-		}
-		if shards[i], err = restoreShard(dec, restore, i); err != nil {
-			return nil, err
-		}
-	}
-	eng.start(shards)
-	eng.rt.f.restoreCount(count)
-	return eng, nil
 }

@@ -181,8 +181,8 @@ func TestWindowEngineSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if got := restored.EdgesProcessed(); got != int64(len(prefix)) {
-		t.Fatalf("restored EdgesProcessed = %d, want %d", got, len(prefix))
+	if got := restored.Processed(); got != int64(len(prefix)) {
+		t.Fatalf("restored Processed = %d, want %d", got, len(prefix))
 	}
 	if restored.Config() != eng.Config() {
 		t.Fatalf("restored config %+v != original %+v", restored.Config(), eng.Config())
@@ -254,7 +254,7 @@ func TestWindowEngineValidatesUniverse(t *testing.T) {
 	if err := eng.ProcessEdges([]Edge{{A: 1, B: 1}, {A: -3, B: 0}}); !errors.Is(err, ErrOutOfUniverse) {
 		t.Fatalf("batch with bad edge = %v, want ErrOutOfUniverse", err)
 	}
-	if got := eng.EdgesProcessed(); got != 0 {
+	if got := eng.Processed(); got != 0 {
 		t.Fatalf("rejected batch fed %d edges, want 0", got)
 	}
 	if _, err := NewWindowEngine(WindowEngineConfig{
