@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"feww/internal/core"
 	"feww/internal/experiments"
 	"feww/internal/workload"
 	"feww/internal/xrand"
@@ -225,6 +226,47 @@ func BenchmarkInsertDeleteUpdate(b *testing.B) {
 				algo.Insert(rng.Int64n(n), rng.Int64n(m))
 			}
 		})
+	}
+}
+
+// turnstileShardConfig is one shard of the turnstile benchmark workload:
+// N=256 split over two shards, M=1024, d=32, alpha=2, ScaleFactor 0.01.
+func turnstileShardConfig() TurnstileConfig {
+	return TurnstileConfig{N: 128, M: 1024, D: 32, Alpha: 2, Seed: 1, ScaleFactor: 0.01}
+}
+
+// benchView keeps the compiler from discarding a measured View.
+var benchView core.View
+
+// BenchmarkInsertDeleteView measures a published-view rebuild of one
+// turnstile shard holding a planted star among noise.
+func BenchmarkInsertDeleteView(b *testing.B) {
+	cfg := turnstileShardConfig()
+	algo, err := NewInsertDelete(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.New(2)
+	for _, bv := range rng.Perm(int(cfg.M))[:40] {
+		algo.Insert(5, int64(bv))
+	}
+	for i := 0; i < 200; i++ {
+		algo.Insert(rng.Int64n(cfg.N), rng.Int64n(cfg.M))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchView = algo.inner.View()
+	}
+}
+
+// BenchmarkNewInsertDelete measures constructing one turnstile shard.
+func BenchmarkNewInsertDelete(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewInsertDelete(turnstileShardConfig()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

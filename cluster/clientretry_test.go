@@ -8,6 +8,7 @@ package cluster
 // would double-apply it.
 
 import (
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -19,18 +20,24 @@ import (
 )
 
 // hitCounter counts requests per path around a handler — the ground
-// truth for "the server saw this request exactly once".
+// truth for "the server saw this request exactly once" — and the server
+// connections that have finished.
 type hitCounter struct {
 	h    http.Handler
 	mu   sync.Mutex
 	hits map[string]int
+	// closed counts server connections that reached StateClosed or
+	// StateHijacked; changed is closed and replaced on every increment.
+	closed  int
+	changed chan struct{}
+}
+
+func newHitCounter(h http.Handler) *hitCounter {
+	return &hitCounter{h: h, hits: make(map[string]int), changed: make(chan struct{})}
 }
 
 func (c *hitCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
-	if c.hits == nil {
-		c.hits = make(map[string]int)
-	}
 	c.hits[r.URL.Path]++
 	c.mu.Unlock()
 	c.h.ServeHTTP(w, r)
@@ -40,6 +47,40 @@ func (c *hitCounter) count(path string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits[path]
+}
+
+// connState is the server's ConnState hook.
+func (c *hitCounter) connState(_ net.Conn, st http.ConnState) {
+	if st != http.StateClosed && st != http.StateHijacked {
+		return
+	}
+	c.mu.Lock()
+	c.closed++
+	close(c.changed)
+	c.changed = make(chan struct{})
+	c.mu.Unlock()
+}
+
+// awaitClosed blocks until the server has finished n connections.  A
+// request counts when its handler starts, which the server does only
+// after reading the request from the connection, so once every
+// connection the client's attempts opened is finished, count is final.
+func (c *hitCounter) awaitClosed(t *testing.T, n int) {
+	t.Helper()
+	timeout := time.After(10 * time.Second)
+	for {
+		c.mu.Lock()
+		closed, changed := c.closed, c.changed
+		c.mu.Unlock()
+		if closed >= n {
+			return
+		}
+		select {
+		case <-changed:
+		case <-timeout:
+			t.Fatalf("server finished %d of %d connections within 10s", closed, n)
+		}
+	}
 }
 
 // startCountedNode boots one insert-only fewwd node with a request
@@ -55,8 +96,10 @@ func startCountedNode(t *testing.T, n int64) (*faultProxy, *hitCounter) {
 	}
 	b := server.NewInsertOnlyBackend(eng)
 	srv := server.New(b, server.Config{CheckpointPath: t.TempDir() + "/node.ckpt"})
-	hc := &hitCounter{h: srv.Handler()}
-	ts := httptest.NewServer(hc)
+	hc := newHitCounter(srv.Handler())
+	ts := httptest.NewUnstartedServer(hc)
+	ts.Config.ConnState = hc.connState
+	ts.Start()
 	t.Cleanup(func() { ts.Close(); b.Close() })
 	return newFaultProxy(t, ts.Listener.Addr().String()), hc
 }
@@ -88,7 +131,10 @@ func TestClientIngestNeverRetriesOnReset(t *testing.T) {
 	}
 	// The whole point: the client must NOT have re-sent the stream.  The
 	// server saw exactly one /ingest request — whatever prefix it
-	// applied, it applied once.
+	// applied, it applied once.  The client's error can arrive before
+	// the server has read the cut request, so first wait for the server
+	// to finish every connection the proxy opened for the client.
+	hc.awaitClosed(t, p.backendConns())
 	if got := hc.count("/ingest"); got != 1 {
 		t.Fatalf("server saw %d /ingest requests after a reset, want exactly 1 (reset retry would double-apply)", got)
 	}

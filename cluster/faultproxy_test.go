@@ -90,6 +90,14 @@ func (p *faultProxy) resetClientToServerAfter(n int64, once bool) {
 	p.mu.Unlock()
 }
 
+// backendConns reports how many connections the proxy has opened to its
+// target: one per client connection it accepted.
+func (p *faultProxy) backendConns() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.conns) / 2
+}
+
 // resetCount reports how many connections the proxy has reset.
 func (p *faultProxy) resetCount() int {
 	p.mu.Lock()

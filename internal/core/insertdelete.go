@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"feww/internal/l0"
 	"feww/internal/stream"
@@ -135,9 +136,15 @@ type InsertDelete struct {
 	sizing Sizing
 	d2     int64
 
-	vertexSamplers map[int64][]*l0.Sampler // sampled A-vertex -> its samplers
-	edgeSamplers   []*l0.Sampler
-	updates        int64
+	vertices     []int64       // the sampled A-vertex set A', ascending
+	vertexBatts  []*l0.Battery // vertices[i]'s samplers, over [0, M)
+	edgeSamplers *l0.Battery   // over the edge universe [0, N*M)
+	updates      int64
+
+	// spaceWords and snapshotBytes are fixed by the config; they are
+	// computed once at construction instead of on every View.
+	spaceWords    int
+	snapshotBytes int
 }
 
 // NewInsertDelete constructs the algorithm, allocating all samplers up
@@ -161,45 +168,44 @@ func NewInsertDelete(cfg InsertDeleteConfig) (*InsertDelete, error) {
 
 	rng := xrand.New(cfg.Seed)
 	algo := &InsertDelete{
-		cfg:            cfg,
-		sizing:         sizing,
-		d2:             witnessTarget(cfg.D, cfg.Alpha),
-		vertexSamplers: make(map[int64][]*l0.Sampler, sizing.VertexSampleSize),
+		cfg:    cfg,
+		sizing: sizing,
+		d2:     witnessTarget(cfg.D, cfg.Alpha),
 	}
 
-	// Fix A' := a uniform random subset of A of size VertexSampleSize.
-	for _, v := range rng.Subset(int(cfg.N), sizing.VertexSampleSize) {
-		batt := make([]*l0.Sampler, sizing.SamplersPerVertex)
-		for i := range batt {
-			batt[i] = l0.NewSampler(rng.Split(), uint64(cfg.M), params)
-		}
-		algo.vertexSamplers[int64(v)] = batt
+	// Fix A' := a uniform random subset of A of size VertexSampleSize
+	// (Subset returns it ascending, the snapshot's battery order).
+	sample := rng.Subset(int(cfg.N), sizing.VertexSampleSize)
+	algo.vertices = make([]int64, len(sample))
+	algo.vertexBatts = make([]*l0.Battery, len(sample))
+	for i, v := range sample {
+		algo.vertices[i] = int64(v)
+		algo.vertexBatts[i] = l0.NewBattery(rng, sizing.SamplersPerVertex, uint64(cfg.M), params)
 	}
+	algo.edgeSamplers = l0.NewBattery(rng, sizing.EdgeSamplers, uint64(cfg.N)*uint64(cfg.M), params)
 
-	algo.edgeSamplers = make([]*l0.Sampler, sizing.EdgeSamplers)
-	edgeUniverse := uint64(cfg.N) * uint64(cfg.M)
-	for i := range algo.edgeSamplers {
-		algo.edgeSamplers[i] = l0.NewSampler(rng.Split(), edgeUniverse, params)
+	algo.spaceWords = algo.edgeSamplers.SpaceWords()
+	algo.snapshotBytes = snapHeaderBytes + 8 + 8 + snapCellBytes*len(algo.edgeSamplers.Cells())
+	for _, batt := range algo.vertexBatts {
+		algo.spaceWords += 1 + batt.SpaceWords() // the sampled vertex id, then its samplers
+		algo.snapshotBytes += 8 + snapCellBytes*len(batt.Cells())
 	}
 	return algo, nil
 }
 
 // Update feeds one stream update: delta = +1 for an insertion of edge
-// (a, b), delta = -1 for a deletion.
+// (a, b), delta = -1 for a deletion.  It runs the battery update kernel
+// once for a's samplers, when a is sampled, and once for the edge
+// samplers.
 func (id *InsertDelete) Update(a, b int64, delta int) {
 	if delta != 1 && delta != -1 {
 		panic("core: InsertDelete.Update with delta not in {-1, +1}")
 	}
 	id.updates++
-	if batt, ok := id.vertexSamplers[a]; ok {
-		for _, s := range batt {
-			s.Update(uint64(b), int64(delta))
-		}
+	if i, ok := slices.BinarySearch(id.vertices, a); ok {
+		id.vertexBatts[i].Update(uint64(b), int64(delta))
 	}
-	key := uint64(a)*uint64(id.cfg.M) + uint64(b)
-	for _, s := range id.edgeSamplers {
-		s.Update(key, int64(delta))
-	}
+	id.edgeSamplers.Update(uint64(a)*uint64(id.cfg.M)+uint64(b), int64(delta))
 }
 
 // ApplyUpdates feeds a batch of stream updates in order.  It is equivalent
@@ -261,59 +267,50 @@ func (id *InsertDelete) Result() (Neighbourhood, error) {
 func (id *InsertDelete) ResultWithStrategy() (Neighbourhood, Strategy, error) {
 	// Vertex strategy: each sampled vertex's battery yields up to
 	// SamplersPerVertex (near-uniform, with repetition) incident edges.
-	for _, a := range sortedKeys(id.vertexSamplers) {
-		seen := make(map[int64]struct{})
-		for _, s := range id.vertexSamplers[a] {
-			if b, cnt, ok := s.Sample(); ok && cnt > 0 {
-				seen[int64(b)] = struct{}{}
+	seen := make([]int64, 0, id.sizing.SamplersPerVertex)
+	for i, a := range id.vertices {
+		seen = seen[:0]
+		batt := id.vertexBatts[i]
+		for j := 0; j < batt.Len(); j++ {
+			if b, cnt, ok := batt.Sample(j); ok && cnt > 0 {
+				seen = append(seen, int64(b))
 			}
 		}
-		if int64(len(seen)) >= id.d2 {
-			return Neighbourhood{A: a, Witnesses: takeWitnesses(seen, id.d2)}, StrategyVertex, nil
+		slices.Sort(seen)
+		if seen = slices.Compact(seen); int64(len(seen)) >= id.d2 {
+			return Neighbourhood{A: a, Witnesses: slices.Clone(seen[:id.d2])}, StrategyVertex, nil
 		}
 	}
 	// Edge strategy: group sampled edges by their A-endpoint.
-	byVertex := make(map[int64]map[int64]struct{})
-	for _, s := range id.edgeSamplers {
-		key, cnt, ok := s.Sample()
+	edges := make([][2]int64, 0, id.edgeSamplers.Len())
+	for j := 0; j < id.edgeSamplers.Len(); j++ {
+		key, cnt, ok := id.edgeSamplers.Sample(j)
 		if !ok || cnt <= 0 {
 			continue
 		}
-		a := int64(key / uint64(id.cfg.M))
-		b := int64(key % uint64(id.cfg.M))
-		if byVertex[a] == nil {
-			byVertex[a] = make(map[int64]struct{})
-		}
-		byVertex[a][b] = struct{}{}
+		edges = append(edges, [2]int64{int64(key / uint64(id.cfg.M)), int64(key % uint64(id.cfg.M))})
 	}
-	for _, a := range sortedKeys(byVertex) {
-		if seen := byVertex[a]; int64(len(seen)) >= id.d2 {
-			return Neighbourhood{A: a, Witnesses: takeWitnesses(seen, id.d2)}, StrategyEdge, nil
+	slices.SortFunc(edges, func(x, y [2]int64) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	// Sorted and deduplicated, each vertex's distinct witnesses form one
+	// ascending run, so the first run of d2 or more yields the answer.
+	edges = slices.Compact(edges)
+	for lo := 0; lo < len(edges); {
+		hi := lo + 1
+		for hi < len(edges) && edges[hi][0] == edges[lo][0] {
+			hi++
 		}
+		if int64(hi-lo) >= id.d2 {
+			w := make([]int64, id.d2)
+			for k := range w {
+				w[k] = edges[lo+k][1]
+			}
+			return Neighbourhood{A: edges[lo][0], Witnesses: w}, StrategyEdge, nil
+		}
+		lo = hi
 	}
 	return Neighbourhood{}, StrategyNone, ErrNoWitness
-}
-
-// sortedKeys returns a map's keys in ascending order, for deterministic
-// candidate iteration.
-func sortedKeys[V any](m map[int64]V) []int64 {
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-// takeWitnesses extracts the d2 smallest witnesses from a set — a
-// deterministic choice, so the same state always reports the same proof.
-func takeWitnesses(set map[int64]struct{}, d2 int64) []int64 {
-	out := make([]int64, 0, len(set))
-	for b := range set {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out[:d2]
 }
 
 // WitnessTarget returns d2 = ceil(d/alpha).
@@ -330,17 +327,6 @@ func (id *InsertDelete) SizingInfo() Sizing { return id.sizing }
 // UpdatesProcessed returns the number of stream updates consumed.
 func (id *InsertDelete) UpdatesProcessed() int64 { return id.updates }
 
-// SpaceWords reports the live state across all L0 samplers.
-func (id *InsertDelete) SpaceWords() int {
-	words := 0
-	for _, batt := range id.vertexSamplers {
-		words++ // the sampled vertex id
-		for _, s := range batt {
-			words += s.SpaceWords()
-		}
-	}
-	for _, s := range id.edgeSamplers {
-		words += s.SpaceWords()
-	}
-	return words
-}
+// SpaceWords reports the live state across all L0 samplers: every
+// sampler's hash coefficients and cell words, plus the sampled vertex ids.
+func (id *InsertDelete) SpaceWords() int { return id.spaceWords }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"feww/internal/l0"
 )
@@ -18,13 +17,18 @@ import (
 // constructor.  The snapshot therefore stores only the configuration plus
 // the three mutable words of each 1-sparse cell (delta sum, index-weighted
 // sum, fingerprint accumulator), and restore re-runs the constructor and
-// overwrites cell state in the fixed visitation order of l0.Sampler.Cells.
+// overwrites cell state in the fixed order of l0.Battery.Cells.
 //
 // The format is versioned, little-endian, and deterministic: two snapshots
-// of identical states are byte-identical (the vertex-sampler map is
-// emitted in sorted key order).
+// of identical states are byte-identical (the vertex batteries are
+// emitted in ascending vertex order).
 
 var snapTurnstileMagic = [8]byte{'F', 'E', 'W', 'W', 'S', 'N', 'T', '1'}
+
+const (
+	snapHeaderBytes = 8 + 10*8 // magic + fixed header fields
+	snapCellBytes   = 3 * 8    // count, sum, fingerprint accumulator
+)
 
 // Snapshot writes the algorithm's complete state to w.
 func (id *InsertDelete) Snapshot(w io.Writer) error {
@@ -42,17 +46,13 @@ func (id *InsertDelete) Snapshot(w io.Writer) error {
 	enc.i64(int64(id.cfg.MaxSamplers))
 	enc.i64(id.updates)
 
-	enc.i64(int64(len(id.vertexSamplers)))
-	for _, a := range id.sortedVertexSample() {
+	enc.i64(int64(len(id.vertices)))
+	for i, a := range id.vertices {
 		enc.i64(a)
-		for _, s := range id.vertexSamplers[a] {
-			encodeCells(enc, s)
-		}
+		encodeCells(enc, id.vertexBatts[i])
 	}
-	enc.i64(int64(len(id.edgeSamplers)))
-	for _, s := range id.edgeSamplers {
-		encodeCells(enc, s)
-	}
+	enc.i64(int64(id.edgeSamplers.Len()))
+	encodeCells(enc, id.edgeSamplers)
 	if enc.err != nil {
 		return enc.err
 	}
@@ -120,11 +120,11 @@ func RestoreInsertDelete(r io.Reader) (*InsertDelete, error) {
 	if dec.err != nil {
 		return nil, dec.err
 	}
-	if nVertex != int64(len(algo.vertexSamplers)) {
+	if nVertex != int64(len(algo.vertices)) {
 		return nil, fmt.Errorf("%w: %d vertex samplers, config derives %d",
-			ErrBadSnapshot, nVertex, len(algo.vertexSamplers))
+			ErrBadSnapshot, nVertex, len(algo.vertices))
 	}
-	for _, want := range algo.sortedVertexSample() {
+	for i, want := range algo.vertices {
 		a := dec.i64()
 		if dec.err != nil {
 			return nil, dec.err
@@ -132,72 +132,46 @@ func RestoreInsertDelete(r io.Reader) (*InsertDelete, error) {
 		if a != want {
 			return nil, fmt.Errorf("%w: sampled vertex %d, seed derives %d", ErrBadSnapshot, a, want)
 		}
-		for _, s := range algo.vertexSamplers[a] {
-			decodeCells(dec, s)
-		}
+		decodeCells(dec, algo.vertexBatts[i])
 	}
 	nEdge := dec.i64()
 	if dec.err != nil {
 		return nil, dec.err
 	}
-	if nEdge != int64(len(algo.edgeSamplers)) {
+	if nEdge != int64(algo.edgeSamplers.Len()) {
 		return nil, fmt.Errorf("%w: %d edge samplers, config derives %d",
-			ErrBadSnapshot, nEdge, len(algo.edgeSamplers))
+			ErrBadSnapshot, nEdge, algo.edgeSamplers.Len())
 	}
-	for _, s := range algo.edgeSamplers {
-		decodeCells(dec, s)
-	}
+	decodeCells(dec, algo.edgeSamplers)
 	if dec.err != nil {
 		return nil, dec.err
 	}
 	return algo, nil
 }
 
-// SnapshotSize returns the exact byte length Snapshot would write.
-func (id *InsertDelete) SnapshotSize() int {
-	size := 8 + 10*8 // magic + fixed header fields
-	size += 8        // vertex sampler count
-	for _, batt := range id.vertexSamplers {
-		size += 8 // vertex id
-		for _, s := range batt {
-			size += 24 * s.NumCells()
-		}
-	}
-	size += 8 // edge sampler count
-	for _, s := range id.edgeSamplers {
-		size += 24 * s.NumCells()
-	}
-	return size
-}
+// SnapshotSize returns the exact byte length Snapshot would write.  It
+// is fixed by the config, so NewInsertDelete computes it once.
+func (id *InsertDelete) SnapshotSize() int { return id.snapshotBytes }
 
-// sortedVertexSample returns the sampled vertex set A' in increasing order —
-// the snapshot's canonical battery order.
-func (id *InsertDelete) sortedVertexSample() []int64 {
-	keys := make([]int64, 0, len(id.vertexSamplers))
-	for a := range id.vertexSamplers {
-		keys = append(keys, a)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func encodeCells(enc *encoder, s *l0.Sampler) {
-	s.Cells(func(o *l0.OneSparse) {
-		count, sum, acc := o.State()
+func encodeCells(enc *encoder, b *l0.Battery) {
+	cells := b.Cells()
+	for i := range cells {
+		count, sum, acc := cells[i].State()
 		enc.i64(count)
 		enc.i64(sum)
 		enc.u64(acc)
-	})
+	}
 }
 
-func decodeCells(dec *decoder, s *l0.Sampler) {
-	s.Cells(func(o *l0.OneSparse) {
+func decodeCells(dec *decoder, b *l0.Battery) {
+	cells := b.Cells()
+	for i := range cells {
 		count := dec.i64()
 		sum := dec.i64()
 		acc := dec.u64()
 		if dec.err != nil {
 			return
 		}
-		o.SetState(count, sum, acc)
-	})
+		cells[i].SetState(count, sum, acc)
+	}
 }

@@ -15,22 +15,20 @@ import (
 // MersennePrime61 is the field modulus p = 2^61 - 1.
 const MersennePrime61 uint64 = (1 << 61) - 1
 
-// reduce61 reduces a 128-bit product (hi, lo) modulo 2^61 - 1.
-func reduce61(hi, lo uint64) uint64 {
-	// x = hi*2^64 + lo.  2^64 ≡ 2^3 (mod 2^61-1), so fold three times to be
-	// safe, then do a final conditional subtraction.
-	r := (lo & MersennePrime61) + (lo >> 61) + (hi << 3 & MersennePrime61) + (hi >> 58)
-	r = (r & MersennePrime61) + (r >> 61)
+// MulMod61 returns a*b mod 2^61-1 for a, b < 2^61-1.
+//
+// With p = 2^61-1 the product is q*2^61 + l ≡ q + l (mod p), where
+// l = product & p and q = product >> 61.  For operands below p the product
+// is below 2^122 - 2^62, so q <= p-3 and q + l < 2p: one fold and one
+// conditional subtraction give the canonical residue.  q is assembled from
+// the two product words without overlap (hi < 2^58).
+func MulMod61(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	r := (lo & MersennePrime61) + (hi<<3 | lo>>61)
 	if r >= MersennePrime61 {
 		r -= MersennePrime61
 	}
 	return r
-}
-
-// MulMod61 returns a*b mod 2^61-1 for a, b < 2^61-1.
-func MulMod61(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	return reduce61(hi, lo)
 }
 
 // AddMod61 returns a+b mod 2^61-1 for a, b < 2^61-1.
@@ -62,6 +60,29 @@ func PowMod61(base, exp uint64) uint64 {
 		exp >>= 1
 	}
 	return result
+}
+
+// PowMod61Batch replaces every element x of xs, which must be below p, by
+// x^exp mod 2^61-1 — PowMod61 applied elementwise.  One exponent serves
+// the whole batch, so the square-and-multiply chains of four elements
+// advance in lockstep: their multiplications are independent, and the
+// processor overlaps them instead of waiting out one chain's latency.
+func PowMod61Batch(xs []uint64, exp uint64) {
+	i := 0
+	for ; i+4 <= len(xs); i += 4 {
+		b0, b1, b2, b3 := xs[i], xs[i+1], xs[i+2], xs[i+3]
+		r0, r1, r2, r3 := uint64(1), uint64(1), uint64(1), uint64(1)
+		for e := exp; e > 0; e >>= 1 {
+			if e&1 == 1 {
+				r0, r1, r2, r3 = MulMod61(r0, b0), MulMod61(r1, b1), MulMod61(r2, b2), MulMod61(r3, b3)
+			}
+			b0, b1, b2, b3 = MulMod61(b0, b0), MulMod61(b1, b1), MulMod61(b2, b2), MulMod61(b3, b3)
+		}
+		xs[i], xs[i+1], xs[i+2], xs[i+3] = r0, r1, r2, r3
+	}
+	for ; i < len(xs); i++ {
+		xs[i] = PowMod61(xs[i], exp)
+	}
 }
 
 // InvMod61 returns the multiplicative inverse of a mod 2^61-1 (a != 0).
@@ -112,7 +133,13 @@ func (h *Poly) HashRange(x, m uint64) uint64 {
 	if m == 0 {
 		panic("hashing: HashRange with m == 0")
 	}
-	hi, _ := bits.Mul64(h.Hash(x)<<3, m) // spread the 61-bit hash over 64 bits
+	return spread(h.Hash(x), m)
+}
+
+// spread maps a field hash h < p into [0, m) by multiply-high: h<<3 spreads
+// the 61-bit hash over 64 bits.
+func spread(h, m uint64) uint64 {
+	hi, _ := bits.Mul64(h<<3, m)
 	return hi
 }
 
@@ -128,57 +155,95 @@ func (h *Poly) Sign(x uint64) int64 {
 // SpaceWords reports the words of state held by the hash function.
 func (h *Poly) SpaceWords() int { return len(h.coeffs) }
 
+// Pair is the pairwise-independent member h(x) = c1*x + c0 mod p of the
+// Poly family (k = 2) as a plain two-word value, for callers that keep many
+// hashes in flat slices (the L0 samplers).  NewPair draws exactly what
+// NewPoly(rng, 2) draws, so both give the same hash from the same RNG
+// state.
+type Pair struct {
+	c0, c1 uint64
+}
+
+// NewPair draws a uniform member of the pairwise-independent family.
+func NewPair(rng *xrand.RNG) Pair {
+	h := Pair{c0: rng.Uint64n(MersennePrime61), c1: rng.Uint64n(MersennePrime61)}
+	if h.c1 == 0 {
+		h.c1 = 1 // non-constant, as NewPoly guarantees
+	}
+	return h
+}
+
+// Hash evaluates the hash at x, returning a value in [0, p).
+func (h Pair) Hash(x uint64) uint64 {
+	return AddMod61(MulMod61(h.c1, x%MersennePrime61), h.c0)
+}
+
+// HashRange maps x into [0, m), m > 0, as Poly.HashRange does.
+func (h Pair) HashRange(x, m uint64) uint64 { return spread(h.Hash(x), m) }
+
+// SpaceWords reports the words of state held by the hash function.
+func (h Pair) SpaceWords() int { return 2 }
+
 // Fingerprint maintains the polynomial fingerprint F = sum_i c_i * r^i mod p
 // of an integer vector c under turnstile updates.  It is the third component
 // of the 1-sparse recovery test in the L0 sampler: a claimed singleton
 // (index i, count c) is accepted only if F == c * r^i mod p, which fails for
 // non-singletons with probability <= universe/p.
+//
+// A Fingerprint is a plain two-word value with no pointers, so the L0
+// sampler stores its fingerprints inline in flat cell slices; copying one
+// copies its state.
 type Fingerprint struct {
 	r   uint64
 	acc uint64
 }
 
 // NewFingerprint draws a random evaluation point r in [1, p).
-func NewFingerprint(rng *xrand.RNG) *Fingerprint {
-	return &Fingerprint{r: 1 + rng.Uint64n(MersennePrime61-1)}
+func NewFingerprint(rng *xrand.RNG) Fingerprint {
+	return Fingerprint{r: 1 + rng.Uint64n(MersennePrime61-1)}
 }
 
 // Update applies c_i += delta for index i >= 0.
 func (f *Fingerprint) Update(i uint64, delta int64) {
-	term := MulMod61(modDelta(delta), PowMod61(f.r, i))
-	f.acc = AddMod61(f.acc, term)
+	f.UpdatePow(PowMod61(f.r, i), delta)
 }
+
+// UpdatePow is Update with pow = r^i mod p already computed, for callers
+// that raise many fingerprints' points to one index together (see
+// PowMod61Batch and Point).
+func (f *Fingerprint) UpdatePow(pow uint64, delta int64) {
+	f.acc = AddMod61(f.acc, MulMod61(modDelta(delta), pow))
+}
+
+// Point returns the evaluation point r.
+func (f Fingerprint) Point() uint64 { return f.r }
 
 // Matches reports whether the fingerprint is consistent with the vector
 // being exactly {i: count} (a single non-zero coordinate).
-func (f *Fingerprint) Matches(i uint64, count int64) bool {
+func (f Fingerprint) Matches(i uint64, count int64) bool {
 	want := MulMod61(modDelta(count), PowMod61(f.r, i))
 	return f.acc == want
 }
 
 // Zero reports whether the fingerprint is consistent with the zero vector.
-func (f *Fingerprint) Zero() bool { return f.acc == 0 }
+func (f Fingerprint) Zero() bool { return f.acc == 0 }
 
 // Acc returns the accumulator — the fingerprint's only mutable state (the
 // evaluation point r is fixed at construction, so checkpointing a
 // fingerprint needs nothing else when the constructor is replayed from the
 // same RNG).
-func (f *Fingerprint) Acc() uint64 { return f.acc }
+func (f Fingerprint) Acc() uint64 { return f.acc }
 
 // SetAcc overwrites the accumulator; used by snapshot restore after the
 // construction RNG has re-derived the evaluation point.
 func (f *Fingerprint) SetAcc(acc uint64) { f.acc = acc }
 
-// Clone returns an independent copy (same evaluation point and state),
-// used by peeling decoders that subtract recovered coordinates from a
-// scratch copy.
-func (f *Fingerprint) Clone() *Fingerprint {
-	cp := *f
-	return &cp
-}
+// Clone returns an independent copy (same evaluation point and state);
+// being a value, a Fingerprint is also copied by plain assignment.
+func (f Fingerprint) Clone() Fingerprint { return f }
 
 // SpaceWords reports the words of state held by the fingerprint.
-func (f *Fingerprint) SpaceWords() int { return 2 }
+func (f Fingerprint) SpaceWords() int { return 2 }
 
 // modDelta maps a signed delta into F_p.
 func modDelta(d int64) uint64 {

@@ -23,6 +23,84 @@ func TestMulMod61AgainstBigInt(t *testing.T) {
 	}
 }
 
+// TestMulMod61BoundaryOperands checks MulMod61 against math/big on the
+// boundary operands 0, 1 and p-1 (paired with each other and with random
+// operands) and on random operands drawn from the top of the field, where
+// the single-fold reduction's bound is tightest.
+func TestMulMod61BoundaryOperands(t *testing.T) {
+	p := new(big.Int).SetUint64(MersennePrime61)
+	check := func(a, b uint64) {
+		t.Helper()
+		want := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+		want.Mod(want, p)
+		if got := MulMod61(a, b); got != want.Uint64() {
+			t.Fatalf("MulMod61(%d, %d) = %d, want %d", a, b, got, want.Uint64())
+		}
+	}
+	rng := xrand.New(61)
+	operands := []uint64{0, 1, 2, MersennePrime61 - 2, MersennePrime61 - 1, 1 << 60, 1<<61 - 1<<30}
+	for i := 0; i < 200; i++ {
+		operands = append(operands, rng.Uint64n(MersennePrime61), MersennePrime61-1-rng.Uint64n(1<<20))
+	}
+	for _, a := range operands {
+		for _, b := range operands {
+			check(a, b)
+		}
+	}
+}
+
+// TestPowMod61BatchMatchesPowMod61 checks the interleaved chains against
+// PowMod61 elementwise, for batch lengths on both sides of the four-wide
+// groups and exponents from 0 to 64 bits.
+func TestPowMod61BatchMatchesPowMod61(t *testing.T) {
+	rng := xrand.New(62)
+	for n := 0; n <= 13; n++ {
+		for _, exp := range []uint64{0, 1, 2, 3, 1023, 1 << 17, rng.Uint64n(1 << 20), rng.Uint64(), ^uint64(0)} {
+			xs := make([]uint64, n)
+			for i := range xs {
+				xs[i] = rng.Uint64n(MersennePrime61)
+			}
+			if n > 0 {
+				xs[0] = 0
+			}
+			if n > 1 {
+				xs[n-1] = MersennePrime61 - 1
+			}
+			want := make([]uint64, n)
+			for i, x := range xs {
+				want[i] = PowMod61(x, exp)
+			}
+			PowMod61Batch(xs, exp)
+			for i := range xs {
+				if xs[i] != want[i] {
+					t.Fatalf("n=%d exp=%d: element %d = %d, want %d", n, exp, i, xs[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPairMatchesPoly checks that NewPair draws and evaluates exactly the
+// hash NewPoly(rng, 2) does from the same RNG state, over keys on both
+// sides of p.
+func TestPairMatchesPoly(t *testing.T) {
+	rng := xrand.New(63)
+	for trial := 0; trial < 200; trial++ {
+		state := rng.State()
+		poly := NewPoly(rng, 2)
+		rng.SetState(state)
+		pair := NewPair(rng)
+		for _, x := range []uint64{0, 1, MersennePrime61 - 1, MersennePrime61, MersennePrime61 + 5, ^uint64(0), rng.Uint64()} {
+			if pair.Hash(x) != poly.Hash(x) || pair.HashRange(x, 24) != poly.HashRange(x, 24) {
+				t.Fatalf("trial %d: Pair and Poly disagree at %d", trial, x)
+			}
+		}
+	}
+	if (Pair{}).SpaceWords() != NewPoly(rng, 2).SpaceWords() {
+		t.Fatal("Pair and Poly report different space")
+	}
+}
+
 func TestAddSubMod61(t *testing.T) {
 	f := func(a, b uint64) bool {
 		a %= MersennePrime61
