@@ -185,10 +185,10 @@ func NewInsertDelete(cfg InsertDeleteConfig) (*InsertDelete, error) {
 	algo.edgeSamplers = l0.NewBattery(rng, sizing.EdgeSamplers, uint64(cfg.N)*uint64(cfg.M), params)
 
 	algo.spaceWords = algo.edgeSamplers.SpaceWords()
-	algo.snapshotBytes = snapHeaderBytes + 8 + 8 + snapCellBytes*len(algo.edgeSamplers.Cells())
+	algo.snapshotBytes = snapHeaderBytes + 8 + 8 + snapCellBytes*algo.edgeSamplers.NumCells()
 	for _, batt := range algo.vertexBatts {
 		algo.spaceWords += 1 + batt.SpaceWords() // the sampled vertex id, then its samplers
-		algo.snapshotBytes += 8 + snapCellBytes*len(batt.Cells())
+		algo.snapshotBytes += 8 + snapCellBytes*batt.NumCells()
 	}
 	return algo, nil
 }

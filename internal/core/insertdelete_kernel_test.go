@@ -80,9 +80,9 @@ func TestTurnstileKernelAllocs(t *testing.T) {
 		viewAllocs[scale] = testing.AllocsPerRun(5, func() { _ = algo.View() })
 
 		samplers := cfg.Sizing().TotalSamplers()
-		cells := len(algo.edgeSamplers.Cells())
+		cells := algo.edgeSamplers.NumCells()
 		for _, batt := range algo.vertexBatts {
-			cells += len(batt.Cells())
+			cells += batt.NumCells()
 		}
 		construct := testing.AllocsPerRun(1, func() {
 			if _, err := NewInsertDelete(cfg); err != nil {
@@ -118,10 +118,7 @@ func TestInsertDeleteCachedSizes(t *testing.T) {
 		}
 		walk := len(algo.vertices) // one word per sampled vertex id
 		walkBatt := func(b *l0.Battery, universe uint64) {
-			cells := b.Cells()
-			for i := range cells {
-				walk += cells[i].SpaceWords()
-			}
+			walk += b.NumCells() * (&l0.OneSparse{}).SpaceWords()
 			// Per sampler: level hash and min-hash, and one bucket
 			// hash per level and row.
 			walk += b.Len() * (2 + 2 + 2*(bits.Len64(universe)+1)*rows)

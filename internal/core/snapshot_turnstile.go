@@ -17,7 +17,7 @@ import (
 // constructor.  The snapshot therefore stores only the configuration plus
 // the three mutable words of each 1-sparse cell (delta sum, index-weighted
 // sum, fingerprint accumulator), and restore re-runs the constructor and
-// overwrites cell state in the fixed order of l0.Battery.Cells.
+// overwrites cell state in the fixed order of l0.Battery.CellState.
 //
 // The format is versioned, little-endian, and deterministic: two snapshots
 // of identical states are byte-identical (the vertex batteries are
@@ -154,9 +154,8 @@ func RestoreInsertDelete(r io.Reader) (*InsertDelete, error) {
 func (id *InsertDelete) SnapshotSize() int { return id.snapshotBytes }
 
 func encodeCells(enc *encoder, b *l0.Battery) {
-	cells := b.Cells()
-	for i := range cells {
-		count, sum, acc := cells[i].State()
+	for k := 0; k < b.NumCells(); k++ {
+		count, sum, acc := b.CellState(k)
 		enc.i64(count)
 		enc.i64(sum)
 		enc.u64(acc)
@@ -164,14 +163,13 @@ func encodeCells(enc *encoder, b *l0.Battery) {
 }
 
 func decodeCells(dec *decoder, b *l0.Battery) {
-	cells := b.Cells()
-	for i := range cells {
+	for k := 0; k < b.NumCells(); k++ {
 		count := dec.i64()
 		sum := dec.i64()
 		acc := dec.u64()
 		if dec.err != nil {
 			return
 		}
-		cells[i].SetState(count, sum, acc)
+		b.SetCellState(k, count, sum, acc)
 	}
 }

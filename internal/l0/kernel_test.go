@@ -152,7 +152,7 @@ func checkAgainstRef(t *testing.T, b *Battery, refs []*refSampler) {
 	per := b.cellsPer()
 	for i, ref := range refs {
 		for k, want := range ref.cells() {
-			got := &b.Cells()[i*per+k]
+			got := &b.cells[i*per+k]
 			count, sum, acc := got.State()
 			if count != want.count || sum != want.sum || acc != want.acc || got.fp.Point() != want.r {
 				t.Fatalf("sampler %d cell %d = (%d, %d, r=%d, %d), reference (%d, %d, r=%d, %d)",
@@ -210,12 +210,19 @@ func TestBatteryMatchesScalarReference(t *testing.T) {
 					apply(u.index, -u.delta)
 				}
 				checkAgainstRef(t, b, refs)
+				// A battery restored cell by cell samples the same.
+				restored := NewBattery(xrand.New(seed), n, universe, p)
+				for k := 0; k < b.NumCells(); k++ {
+					count, sum, acc := b.CellState(k)
+					restored.SetCellState(k, count, sum, acc)
+				}
+				checkAgainstRef(t, restored, refs)
 				for _, u := range done[len(done)-4:] {
 					apply(u.index, -u.delta)
 				}
 				checkAgainstRef(t, b, refs)
-				for k := range b.Cells() {
-					if c := &b.Cells()[k]; !c.Zero() {
+				for k := range b.cells {
+					if c := &b.cells[k]; !c.Zero() {
 						t.Fatalf("cell %d not zero after every update cancelled: %+v", k, *c)
 					}
 				}

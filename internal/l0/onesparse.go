@@ -42,9 +42,10 @@
 //
 // # Recovery
 //
-// Sampling walks a sampler's levels from the deepest up, skips levels
-// whose cell counts are all zero, and peels the first other level on a
-// stack copy of its cells; it allocates nothing for the default
+// Sampling walks a sampler's levels upward from the deepest one an update
+// has reached (each sampler records it; every deeper cell is zero), skips
+// levels whose cell counts are all zero, and peels the first other level
+// on a stack copy of its cells; it allocates nothing for the default
 // parameters.
 package l0
 

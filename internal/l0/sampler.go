@@ -44,6 +44,10 @@ type Battery struct {
 	// cells holds levels × rows × width cells per sampler, level-major
 	// then row-major — the snapshot order.
 	cells []OneSparse
+	// top holds each sampler's deepest level that an update or a
+	// restored cell has reached.  Every cell of a deeper level is zero,
+	// so Sample starts its walk at top.
+	top []uint8
 }
 
 // hashesPer is the number of hashes per sampler.
@@ -79,6 +83,7 @@ func newBattery(n int, universe uint64, p Params) Battery {
 	}
 	b.hash = make([]hashing.Pair, n*b.hashesPer())
 	b.cells = make([]OneSparse, n*b.cellsPer())
+	b.top = make([]uint8, n)
 	return b
 }
 
@@ -138,7 +143,9 @@ func (b *Battery) Update(index uint64, delta int64) {
 	k, per := 0, b.cellsPer()
 	for i := 0; i < b.n; i++ {
 		h := b.samplerHash(i)
-		rows := h[2 : 2+(b.levelOf(h[0], index)+1)*b.rows]
+		lvl := b.levelOf(h[0], index)
+		b.top[i] = max(b.top[i], uint8(lvl))
+		rows := h[2 : 2+(lvl+1)*b.rows]
 		base := i * per
 		for lr, rh := range rows {
 			at[k] = base + lr*b.width + int(rh.HashRange(index, uint64(b.width)))
@@ -176,41 +183,56 @@ func (b *Battery) level(i, lvl int) SSparse {
 // together with its count.  ok is false if the vector is zero or recovery
 // failed at every level.
 //
-// The query walks from the deepest level upward; the first level whose
+// The query walks from the deepest level any update reached upward,
+// skipping levels whose cell counts are all zero; the first level whose
 // s-sparse recovery yields a non-empty set is used, and the coordinate with
 // the minimum tie-break hash is returned — this is the standard recipe
 // making the output distribution (1 ± o(1))-uniform.
 func (b *Battery) Sample(i int) (index uint64, count int64, ok bool) {
 	minHash := b.samplerHash(i)[1]
-	for lvl := b.levels - 1; lvl >= 0; lvl-- {
+	for lvl := int(b.top[i]); lvl >= 0; lvl-- {
 		ss := b.level(i, lvl)
 		if ss.empty() {
 			continue
 		}
-		var buf [8]coord
-		best := uint64(0)
-		bestHash := uint64(1) << 63
-		var bestCount int64
-		for _, e := range ss.peel(buf[:0]) {
-			if e.count == 0 {
-				continue
-			}
+		var buf [16]coord
+		rec := ss.peel(buf[:0])
+		if len(rec) == 0 {
+			continue
+		}
+		// Recovered counts are non-zero: a cell decodes only then.
+		best, bestHash := rec[0], minHash.Hash(rec[0].index)
+		for _, e := range rec[1:] {
 			if mh := minHash.Hash(e.index); mh < bestHash {
-				best, bestHash, bestCount = e.index, mh, e.count
+				best, bestHash = e, mh
 			}
 		}
-		if bestHash != uint64(1)<<63 {
-			return best, bestCount, true
-		}
+		return best.index, best.count, true
 	}
 	return 0, 0, false
 }
 
-// Cells returns every sampler's cells, sampler by sampler, each in the
-// fixed level-major, then row-major order.  Snapshot and restore both walk
-// it, so the cells of two batteries built from the same RNG stream line
-// up exactly.  The slice is the battery's storage, not a copy.
-func (b *Battery) Cells() []OneSparse { return b.cells }
+// NumCells returns the number of cells over all samplers.
+func (b *Battery) NumCells() int { return len(b.cells) }
+
+// CellState returns the mutable words of cell k (see OneSparse.State).
+// Cells are numbered sampler by sampler, each in the fixed level-major,
+// then row-major order.  Snapshot and restore both walk this order, so
+// the cells of two batteries built from the same RNG stream line up
+// exactly.
+func (b *Battery) CellState(k int) (count, sum int64, acc uint64) {
+	return b.cells[k].State()
+}
+
+// SetCellState overwrites the mutable words of cell k; used by snapshot
+// restore on a freshly constructed battery.
+func (b *Battery) SetCellState(k int, count, sum int64, acc uint64) {
+	b.cells[k].SetState(count, sum, acc)
+	if count != 0 || sum != 0 || acc != 0 {
+		i, lvl := k/b.cellsPer(), k%b.cellsPer()/(b.rows*b.width)
+		b.top[i] = max(b.top[i], uint8(lvl))
+	}
+}
 
 // SpaceWords reports the words of state held by the battery.
 func (b *Battery) SpaceWords() int {
